@@ -28,6 +28,7 @@ from .spectral import (
 from .kinematics import (
     InvariantFields,
     StrainEigenvalues,
+    Workspace,
     velocity_gradient,
     vorticity,
     decompose,
@@ -60,6 +61,7 @@ from .solver import (
     nondimensionalize,
     redimensionalize,
     evolution_residual,
+    evolution_workspaces,
 )
 from .diagnostics import (
     DiagnosticsRecord,
@@ -106,14 +108,14 @@ __all__ = [
     "dealias", "band_limit", "volume_mean",
     "InvariantFields", "StrainEigenvalues", "velocity_gradient",
     "vorticity", "decompose", "invariants", "strain_eigenvalues",
-    "variance_P", "mean_helicity",
+    "variance_P", "mean_helicity", "Workspace",
     "ResidualReport", "residual_tr2", "residual_tr3", "residual_grad_sw",
     "residual_pressure_hessian", "gamma2_residual", "mean_identities",
     "switched_invariant_residuals",
     "CFLViolation", "FlowState", "SolverConfig", "DimensionlessScaling",
     "EVOLUTION_CHECKS", "leray_project", "pressure_from_velocity",
     "ns_rhs", "step", "initial_condition", "nondimensionalize",
-    "redimensionalize", "evolution_residual",
+    "redimensionalize", "evolution_residual", "evolution_workspaces",
     "DiagnosticsRecord", "RunSeries", "Histogram2D", "diagnose",
     "entropy_monotonicity_check", "lq_inequality_check", "qr_invariants",
     "read_series_csv", "write_series_csv",

@@ -29,7 +29,6 @@ from .diagnostics import (
     RunSeries,
     diagnose,
     entropy_monotonicity_check,
-    qr_invariants,
     read_series_csv,
     write_series_csv,
 )
@@ -54,6 +53,7 @@ from .identities import (
     residual_tr3,
     switched_invariant_residuals,
 )
+from .kinematics import Workspace
 from .solver import (
     CFLViolation,
     DimensionlessScaling,
@@ -61,6 +61,7 @@ from .solver import (
     FlowState,
     SolverConfig,
     evolution_residual,
+    evolution_workspaces,
     initial_condition,
     pressure_from_velocity,
     step,
@@ -387,14 +388,16 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
         else:
             manifest["Re"] = cfg.re
 
-        records = [diagnose(state, cfg.q_list, include_histogram=False)]
+        # the final record's histogram of (tr A^2, tr A^3) is the Q-R output
+        records = [diagnose(state, cfg.q_list,
+                            include_histogram=n_outputs == 0)]
         if cfg.save_snapshots:
             save_state(outdir / "state_0000.vxl", state)
         for j in range(1, n_outputs + 1):
             for _ in range(steps_per_output):
                 state = step(state, solver_config)
             records.append(diagnose(state, cfg.q_list,
-                                    include_histogram=False))
+                                    include_histogram=j == n_outputs))
             if cfg.save_snapshots:
                 save_state(outdir / f"state_{j:04d}.vxl", state)
         series = RunSeries(tuple(records), manifest)
@@ -402,9 +405,8 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
         write_manifest(outdir / "manifest.json", manifest)
         write_series_csv(series, outdir / "diagnostics.csv")
         save_state(outdir / "state_final.vxl", state)
-        hist = qr_invariants(state, bins=32)
-        (outdir / "qr_histogram.json").write_text(
-            json.dumps(hist.traces.as_dict(), sort_keys=True) + "\n")
+        (outdir / "qr_histogram.json").write_text(json.dumps(
+            records[-1].qr_histogram.as_dict(), sort_keys=True) + "\n")
     return 0
 
 
@@ -418,18 +420,23 @@ def _verify_reports(state: FlowState):
     ev_state = FlowState(u=band_limit(state.u, ev_cut), t=state.t,
                          nu=state.nu, re=state.re)
 
-    reports = [residual_tr2(u_id), residual_tr3(u_id)]
+    ws = Workspace(u_id)
+    reports = [residual_tr2(u_id, ws), residual_tr3(u_id, workspace=ws)]
     reports.append(dataclasses.replace(
-        residual_tr3(u_id, flux_coefficient=0.5), name="tr3[c=0.5]"))
-    reports.extend(switched_invariant_residuals(u_id))
-    reports.append(residual_grad_sw(u_id))
-    reports.append(residual_pressure_hessian(u_id,
-                                             pressure_from_velocity(u_id)))
-    scalar = ScalarField.spectral(grid, u_id.to_spectral().data[0])
-    reports.append(gamma2_residual(u_id, scalar, nu))
-    reports.extend(mean_identities(u_id))
+        residual_tr3(u_id, flux_coefficient=0.5, workspace=ws),
+        name="tr3[c=0.5]"))
+    reports.extend(switched_invariant_residuals(u_id, ws))
+    reports.append(residual_grad_sw(u_id, ws))
+    reports.append(residual_pressure_hessian(
+        u_id, pressure_from_velocity(u_id, ws), ws))
+    scalar = ScalarField.spectral(grid, u_id.data[0])
+    reports.append(gamma2_residual(u_id, scalar, nu, ws))
+    reports.extend(mean_identities(u_id, ws))
+    # one suite's workspaces at a time: the identity one is released first
+    del ws
+    workspaces = evolution_workspaces(ev_state)
     for which in EVOLUTION_CHECKS:
-        reports.extend(evolution_residual(ev_state, which))
+        reports.extend(evolution_residual(ev_state, which, workspaces))
     return reports
 
 

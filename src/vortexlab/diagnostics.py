@@ -19,13 +19,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .kinematics import invariants, mean_helicity, vorticity
-from .solver import FlowState, ns_rhs
-from .spectral import (
-    spec_derivative,
-    to_physical,
-    to_spectral,
-)
+from .kinematics import invariants, mean_helicity
+from .solver import FlowState, evolution_workspaces
+from .spectral import physical_gradient, to_spectral
 
 __all__ = [
     "OMEGA_FLOOR",
@@ -200,9 +196,7 @@ def _lq_terms(q: float, nu: float, grid, m: np.ndarray, wsw: np.ndarray,
     if q == 1.0:
         gradient_term = 0.0
     else:
-        fh = to_spectral(grid, m ** (q / 4.0))
-        grad = to_physical(grid, np.stack(
-            [spec_derivative(grid, fh, k) for k in range(3)]))
+        grad = physical_gradient(grid, to_spectral(grid, m ** (q / 4.0)))
         gradient_term = -4.0 * (1.0 - 1.0 / q) * nu * float(
             np.einsum("i...,i...->...", grad, grad).mean())
     slack = (gradient_term + stretching) - derivative
@@ -219,13 +213,11 @@ def lq_inequality_check(state: FlowState, q: float) -> LqReport:
     """
     if q < 1:
         raise ValueError(f"q must be at least 1, got {q}")
-    grid = state.grid
-    nu = state.effective_viscosity
-    inv = invariants(state.u)
-    w = vorticity(state.u).to_physical().data
-    wdot = vorticity(ns_rhs(state)).to_physical().data
+    f, fd = evolution_workspaces(state)
+    inv = f.invariants
     m = inv.enstrophy.data + OMEGA_FLOOR
-    return _lq_terms(float(q), nu, grid, m, inv.omega_S_omega.data, w, wdot)
+    return _lq_terms(float(q), state.effective_viscosity, state.grid, m,
+                     inv.omega_S_omega.data, f.w, fd.w)
 
 
 def qr_invariants(state: FlowState, bins: int = 32) -> QRInvariants:
@@ -254,24 +246,9 @@ def diagnose(state: FlowState, q_list: Sequence[float] = (1.0, 2.0, 3.0),
     """All volume means, rates and per-q checks at one state."""
     grid = state.grid
     nu = state.effective_viscosity
-    inv = invariants(state.u)
-    up = state.u.to_physical().data
-    udot = ns_rhs(state)
-    udotp = udot.to_physical().data
-    w = vorticity(state.u).to_physical().data
-    wdot = vorticity(udot).to_physical().data
-
-    # strain rate of change from the gradient of du/dt
-    adoth = np.stack([
-        np.stack([spec_derivative(grid, udot.data[i], j) for j in range(3)])
-        for i in range(3)])
-    adot = to_physical(grid, adoth)
-    sdot = 0.5 * (adot + np.swapaxes(adot, 0, 1))
-    ah = np.stack([
-        np.stack([spec_derivative(grid, state.u.data[i], j) for j in range(3)])
-        for i in range(3)])
-    a = to_physical(grid, ah)
-    s = 0.5 * (a + np.swapaxes(a, 0, 1))
+    f, fd = evolution_workspaces(state)
+    inv = f.invariants
+    up, w, wdot = f.up, f.w, fd.w
 
     mean_u2 = float(np.einsum("i...,i...->...", up, up).mean())
     mean_enstrophy = float(inv.enstrophy.data.mean())
@@ -299,9 +276,11 @@ def diagnose(state: FlowState, q_list: Sequence[float] = (1.0, 2.0, 3.0),
         mean_grad_omega2=float(inv.grad_omega_sq.data.mean()),
         mean_grad_S2=float(inv.grad_S_sq.data.mean()),
         entropy_functional=mean_abs_omega + mean_u2 / (math.sqrt(2.0) * nu),
-        mean_helicity=mean_helicity(state.u),
-        d_mean_u2_dt=2.0 * float(np.einsum("i...,i...->...", up, udotp).mean()),
-        d_mean_S2_dt=2.0 * float(np.einsum("ij...,ij...->...", s, sdot).mean()),
+        mean_helicity=mean_helicity(state.u, f),
+        d_mean_u2_dt=2.0 * float(
+            np.einsum("i...,i...->...", up, fd.up).mean()),
+        d_mean_S2_dt=2.0 * float(
+            np.einsum("ij...,ij...->...", f.s, fd.s).mean()),
         d_mean_abs_omega_dt=float(
             (m ** -0.5 * np.einsum("i...,i...->...", w, wdot)).mean()),
         mean_unit_omega_S_omega=float((m ** -0.5 * wsw).mean()),

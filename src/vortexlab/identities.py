@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .kinematics import invariants
+from .kinematics import Workspace
 from .spectral import (
     ScalarField,
     VectorField,
-    spec_curl,
-    spec_derivative,
+    physical_gradient,
+    physical_hessian,
     spec_divergence,
     to_physical,
     to_spectral,
@@ -81,138 +82,99 @@ def _report(name: str, residual: np.ndarray, lhs: np.ndarray,
     return ResidualReport(name, sup, l2, ref, sup / max(ref, _SCALE_FLOOR))
 
 
-class _Workspace:
-    """Shared per-velocity arrays: physical u, spectral u, A, S, divergence."""
-
-    def __init__(self, u: VectorField):
-        self.grid = u.grid
-        self.uh = u.data if u.rep == "spectral" else to_spectral(u.grid, u.data)
-        self.up = u.data if u.rep == "physical" else to_physical(u.grid, self.uh)
-        ah = np.stack([
-            np.stack([spec_derivative(self.grid, self.uh[i], j) for j in range(3)])
-            for i in range(3)
-        ])
-        self.a = to_physical(self.grid, ah)          # a[i,j] = d_j u_i
-        self.s = 0.5 * (self.a + np.swapaxes(self.a, 0, 1))
-        self.divu = to_physical(self.grid, spec_divergence(self.grid, self.uh))
-
-    def grad_of(self, scalar: np.ndarray) -> np.ndarray:
-        """Physical gradient of a physical scalar, shape (3,n,n,n)."""
-        sh = to_spectral(self.grid, scalar)
-        return to_physical(self.grid, np.stack(
-            [spec_derivative(self.grid, sh, k) for k in range(3)]))
-
-    def advect(self, w: np.ndarray) -> np.ndarray:
-        """(u . grad) w for a physical vector w, formed pointwise."""
-        wh = to_spectral(self.grid, w)
-        dw = to_physical(self.grid, np.stack(
-            [np.stack([spec_derivative(self.grid, wh[i], j) for j in range(3)])
-             for i in range(3)]))
-        return np.einsum("j...,ij...->i...", self.up, dw)
-
-    def div_of(self, w: np.ndarray) -> np.ndarray:
-        return to_physical(self.grid, spec_divergence(
-            self.grid, to_spectral(self.grid, w)))
+def _dot(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return np.einsum("i...,i...->...", v, w)
 
 
-def residual_tr2(u: VectorField) -> ResidualReport:
+def _advective_flux(ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """The two terms of div(u . grad W), W = (u . grad) u, and Q = div W:
+    (d_i u_j)(d_j W_i) and u . grad Q.  The flux of tr A^3 and the second
+    bracket of the tr S^2 divergence form are built from these and
+    Q div u, so no cubic product is ever transformed."""
+    dw = physical_gradient(ws.grid, ws.advection_h)
+    first = np.einsum("ji...,ij...->...", ws.a, dw)
+    grad_q = physical_gradient(ws.grid,
+                               spec_divergence(ws.grid, ws.advection_h))
+    return first, _dot(ws.up, grad_q)
+
+
+def _pressure_flux(ws: Workspace, ph: np.ndarray,
+                   hess: np.ndarray) -> np.ndarray:
+    """div(u . grad(grad p)) - div(u lap p) by the product rule:
+    (d_i u_j)(d_j d_i p) + u . grad(lap p)
+    - (u . grad(lap p) + lap p div u)."""
+    lap_h = ph * (-ws.grid.k2)
+    u_grad_lap = _dot(ws.up, physical_gradient(ws.grid, lap_h))
+    second = np.einsum("ji...,ij...->...", ws.a, hess) + u_grad_lap
+    return second - (u_grad_lap + to_physical(ws.grid, lap_h) * ws.divu)
+
+
+def _viscous_flux(ws: Workspace) -> np.ndarray:
+    """div[ tr(grad((u.grad) grad u)) - (u.grad) lap u ], the trace being
+    sum_k d_k((u.grad) d_k u).  Innermost factors are sampled pointwise;
+    the two outer derivatives act spectrally on those samples."""
+    grid = ws.grid
+    gh = to_spectral(grid, np.einsum("j...,ikj...->ki...", ws.up, ws.ddu))
+    trace_term = to_physical(grid, spec_divergence(
+        grid, spec_divergence(grid, gh)))
+    dlap = physical_gradient(grid, ws.uh * (-grid.k2))
+    hh = to_spectral(grid, np.einsum("j...,ij...->i...", ws.up, dlap))
+    return trace_term - to_physical(grid, spec_divergence(grid, hh))
+
+
+def residual_tr2(u: VectorField,
+                 workspace: Optional[Workspace] = None) -> ResidualReport:
     """tr A^2 = div(u . grad u), checked pointwise."""
-    ws = _Workspace(u)
+    ws = Workspace.of(u, workspace)
     tr_a2 = np.einsum("ij...,ji...->...", ws.a, ws.a)
-    advection = np.einsum("j...,ij...->i...", ws.up, ws.a)
-    return _report("tr2", tr_a2 - ws.div_of(advection), tr_a2)
+    return _report("tr2", tr_a2 - ws.div_advection, tr_a2)
 
 
-def residual_tr3(u: VectorField, flux_coefficient: float = 1.5) -> ResidualReport:
+def residual_tr3(u: VectorField, flux_coefficient: float = 1.5,
+                 workspace: Optional[Workspace] = None) -> ResidualReport:
     """tr A^3 = div[u . grad(u . grad u) - c (div(u . grad u)) u].
 
     c = flux_coefficient.  The default 3/2 closes the identity pointwise;
     passing another value measures the defect of that variant instead.
     """
-    ws = _Workspace(u)
+    ws = Workspace.of(u, workspace)
     tr_a3 = np.einsum("ij...,jk...,ki...->...", ws.a, ws.a, ws.a)
-    advection = np.einsum("j...,ij...->i...", ws.up, ws.a)
-
-    # div(u . grad W) = (d_i u_j)(d_j W_i) + u . grad(div W); the second
-    # flux term expands to u . grad Q + Q div u with Q = div W.  Neither a
-    # cubic product nor its transform ever appears.
-    wh = to_spectral(ws.grid, advection)
-    dw = to_physical(ws.grid, np.stack(
-        [np.stack([spec_derivative(ws.grid, wh[i], j) for j in range(3)])
-         for i in range(3)]))
-    first = np.einsum("ji...,ij...->...", ws.a, dw)
-    q = to_physical(ws.grid, spec_divergence(ws.grid, wh))
-    u_grad_q = np.einsum("i...,i...->...", ws.up, ws.grad_of(q))
+    # the second flux term expands to u . grad Q + Q div u with Q = div W
+    first, u_grad_q = _advective_flux(ws)
     divergence_total = (
         first + u_grad_q
-        - flux_coefficient * (u_grad_q + q * ws.divu)
+        - flux_coefficient * (u_grad_q + ws.div_advection * ws.divu)
     )
     return _report("tr3", tr_a3 - divergence_total, tr_a3,
                    first, u_grad_q, flux_coefficient * u_grad_q)
 
 
-def residual_grad_sw(u: VectorField) -> ResidualReport:
-    """|grad S|^2 - |grad omega|^2 / 2 as a pure divergence.
-
-    Right side: div[ tr(grad((u.grad) grad u)) - (u.grad) lap u ], the trace
-    being sum_k d_k((u.grad) d_k u).  Innermost factors are sampled
-    pointwise; the two outer derivatives act spectrally on those samples.
-    """
-    ws = _Workspace(u)
-    grid = ws.grid
-
-    sh = to_spectral(grid, ws.s)
-    ds = to_physical(grid, np.stack(
-        [spec_derivative(grid, sh, k) for k in range(3)]))
-    grad_s2 = np.einsum("kij...,kij...->...", ds, ds)
-    wh = spec_curl(grid, ws.uh)
-    dwv = to_physical(grid, np.stack(
-        [spec_derivative(grid, wh, k) for k in range(3)]))
-    grad_w2 = np.einsum("ki...,ki...->...", dwv, dwv)
+def residual_grad_sw(u: VectorField,
+                     workspace: Optional[Workspace] = None) -> ResidualReport:
+    """|grad S|^2 - |grad omega|^2 / 2 as a pure divergence (_viscous_flux)."""
+    ws = Workspace.of(u, workspace)
+    grad_s2 = np.einsum("ijk...,ijk...->...", ws.ds, ws.ds)
+    grad_w2 = np.einsum("ik...,ik...->...", ws.dw, ws.dw)
     lhs = grad_s2 - 0.5 * grad_w2
-
-    # second derivatives of u: dd[i,k,j] = d_j d_k u_i
-    dd = to_physical(grid, np.stack(
-        [np.stack([np.stack([
-            spec_derivative(grid, spec_derivative(grid, ws.uh[i], k), j)
-            for j in range(3)]) for k in range(3)]) for i in range(3)]))
-    g = np.einsum("j...,ikj...->ki...", ws.up, dd)
-    gh = to_spectral(grid, g)
-    trace_term = to_physical(grid, sum(
-        spec_derivative(grid, spec_derivative(grid, gh[k, i], k), i)
-        for k in range(3) for i in range(3)))
-
-    lap_uh = ws.uh * (-grid.k2)
-    dlap = to_physical(grid, np.stack(
-        [np.stack([spec_derivative(grid, lap_uh[i], j) for j in range(3)])
-         for i in range(3)]))
-    h = np.einsum("j...,ij...->i...", ws.up, dlap)
-    rhs = trace_term - ws.div_of(h)
     # Beltrami flows have |grad S|^2 = |grad omega|^2 / 2 pointwise, so the
     # left side can vanish identically; scale by its pieces as well
-    return _report("grad-sw", lhs - rhs, lhs, grad_s2, 0.5 * grad_w2)
+    return _report("grad-sw", lhs - _viscous_flux(ws), lhs,
+                   grad_s2, 0.5 * grad_w2)
 
 
-def residual_pressure_hessian(u: VectorField, p: ScalarField) -> ResidualReport:
+def residual_pressure_hessian(u: VectorField, p: ScalarField,
+                              workspace: Optional[Workspace] = None
+                              ) -> ResidualReport:
     """S : hess p = div(u . grad(grad p)) - div(u lap p), checked pointwise."""
-    ws = _Workspace(u)
-    grid = ws.grid
-    ph = p.data if p.rep == "spectral" else to_spectral(grid, p.data)
-
-    hess = to_physical(grid, np.stack(
-        [np.stack([spec_derivative(grid, spec_derivative(grid, ph, i), j)
-                   for j in range(3)]) for i in range(3)]))
+    ws = Workspace.of(u, workspace)
+    ph = p.data if p.rep == "spectral" else to_spectral(ws.grid, p.data)
+    hess = physical_hessian(ws.grid, ph)
     lhs = np.einsum("ij...,ij...->...", ws.s, hess)
-
-    lap_p = to_physical(grid, ph * (-grid.k2))
-    u_grad_lap = np.einsum("i...,i...->...", ws.up, ws.grad_of(lap_p))
-    # div(u . grad(grad p)) = (d_i u_j)(d_j d_i p) + u . grad(lap p)
-    second = np.einsum("ji...,ij...->...", ws.a, hess) + u_grad_lap
-    third = u_grad_lap + lap_p * ws.divu
-    return _report("pressure-hessian", lhs - second + third, lhs)
+    return _report("pressure-hessian", lhs - _pressure_flux(ws, ph, hess), lhs)
 
 
-def gamma2_residual(u: VectorField, f: ScalarField, nu: float) -> ResidualReport:
+def gamma2_residual(u: VectorField, f: ScalarField, nu: float,
+                    workspace: Optional[Workspace] = None) -> ResidualReport:
     """Iterated carre-du-champ of L = nu lap + u . grad against its closed form.
 
     Definition side: Gamma2(f, f) = (L Gamma(f, f) - 2 Gamma(f, Lf)) / 2 with
@@ -221,25 +183,22 @@ def gamma2_residual(u: VectorField, f: ScalarField, nu: float) -> ResidualReport
     """
     if not (nu > 0):
         raise ValueError(f"viscosity must be positive, got {nu}")
-    ws = _Workspace(u)
+    ws = Workspace.of(u, workspace)
     grid = ws.grid
     fh = f.data if f.rep == "spectral" else to_spectral(grid, f.data)
-    fp = f.data if f.rep == "physical" else to_physical(grid, fh)
 
-    grad_f = to_physical(grid, np.stack(
-        [spec_derivative(grid, fh, k) for k in range(3)]))
-    hess_f = to_physical(grid, np.stack(
-        [np.stack([spec_derivative(grid, spec_derivative(grid, fh, i), j)
-                   for j in range(3)]) for i in range(3)]))
+    grad_f = physical_gradient(grid, fh)
+    hess_f = physical_hessian(grid, fh)
     lap_f = to_physical(grid, fh * (-grid.k2))
 
-    lf = nu * lap_f + np.einsum("i...,i...->...", ws.up, grad_f)
-    gamma = nu * np.einsum("i...,i...->...", grad_f, grad_f)
+    lf = nu * lap_f + _dot(ws.up, grad_f)
+    gamma = nu * _dot(grad_f, grad_f)
 
     gamma_h = to_spectral(grid, gamma)
     l_gamma = (nu * to_physical(grid, gamma_h * (-grid.k2))
-               + np.einsum("i...,i...->...", ws.up, ws.grad_of(gamma)))
-    gamma_f_lf = nu * np.einsum("i...,i...->...", grad_f, ws.grad_of(lf))
+               + _dot(ws.up, physical_gradient(grid, gamma_h)))
+    gamma_f_lf = nu * _dot(grad_f, physical_gradient(
+        grid, to_spectral(grid, lf)))
     definition = 0.5 * l_gamma - gamma_f_lf
 
     closed = (nu * nu * np.einsum("ij...,ij...->...", hess_f, hess_f)
@@ -247,14 +206,15 @@ def gamma2_residual(u: VectorField, f: ScalarField, nu: float) -> ResidualReport
     return _report("gamma2", definition - closed, definition)
 
 
-def mean_identities(u: VectorField) -> tuple[ResidualReport, ...]:
+def mean_identities(u: VectorField, workspace: Optional[Workspace] = None
+                    ) -> tuple[ResidualReport, ...]:
     """The three volume-mean relations between strain and vorticity.
 
     <|S|^2> = <|omega|^2> / 2, <tr S^3> = -3 <omega . S omega> / 4 and
     <|grad S|^2> = <|grad omega|^2> / 2.  Periodicity makes the divergence
     terms that separate the two sides vanish identically in the mean.
     """
-    inv = invariants(u)
+    inv = Workspace.of(u, workspace).invariants
 
     def scalar_report(name, lhs, rhs, integrand_scale):
         diff = abs(lhs - rhs)
@@ -277,11 +237,13 @@ def mean_identities(u: VectorField) -> tuple[ResidualReport, ...]:
     )
 
 
-def switched_invariant_residuals(u: VectorField) -> tuple[ResidualReport, ...]:
+def switched_invariant_residuals(u: VectorField,
+                                 workspace: Optional[Workspace] = None
+                                 ) -> tuple[ResidualReport, ...]:
     """Pointwise decomposition of the gradient traces into strain and
     vorticity parts: tr A^2 = tr S^2 - |omega|^2 / 2 and
     tr A^3 = tr S^3 + 3 omega . S omega / 4."""
-    inv = invariants(u)
+    inv = Workspace.of(u, workspace).invariants
     lhs2 = inv.trA2.data
     res2 = lhs2 - (inv.trS2.data - 0.5 * inv.enstrophy.data)
     lhs3 = inv.trA3.data

@@ -8,24 +8,36 @@ cubic traces to be alias-free the input should be band-limited to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
 from .spectral import (
+    SYMMETRIC_PAIRS,
     Grid,
     ScalarField,
     TensorField3,
     VectorField,
+    curl,
+    gradient_tensor,
+    physical_gradient,
+    physical_hessian,
     spec_curl,
     spec_derivative,
+    spec_divergence,
+    spec_poisson,
     to_physical,
     to_spectral,
+    unpack_symmetric,
 )
 
 __all__ = [
     "StrainEigenvalues",
     "InvariantFields",
+    "Workspace",
     "relative_divergence",
     "velocity_gradient",
     "vorticity",
@@ -41,10 +53,7 @@ def _spectral_data(u: VectorField) -> np.ndarray:
     return u.data if u.rep == "spectral" else to_spectral(u.grid, u.data)
 
 
-def relative_divergence(u: VectorField) -> float:
-    """max_k |k . u_hat| / max_k |u_hat|, zero for a solenoidal field."""
-    uh = _spectral_data(u)
-    grid = u.grid
+def _relative_divergence(grid: Grid, uh: np.ndarray) -> float:
     div = sum(grid.kd[a] * uh[a] for a in range(3))
     denom = float(np.abs(uh).max())
     if denom == 0.0:
@@ -52,40 +61,41 @@ def relative_divergence(u: VectorField) -> float:
     return float(np.abs(div).max()) / denom
 
 
-def _require_solenoidal(u: VectorField, tol: float = 1e-10) -> None:
-    rel = relative_divergence(u)
-    if rel >= tol:
+def relative_divergence(u: VectorField) -> float:
+    """max_k |k . u_hat| / max_k |u_hat|, zero for a solenoidal field."""
+    return _relative_divergence(u.grid, _spectral_data(u))
+
+
+def _require_solenoidal(grid: Grid, uh: np.ndarray, what: str,
+                        tol: float = 1e-10) -> None:
+    rel = _relative_divergence(grid, uh)
+    # written so that NaN fails: non-finite data gives a NaN ratio
+    if not rel < tol:
+        if not math.isfinite(rel):
+            raise ValueError(f"{what} has non-finite values")
         raise ValueError(
-            f"velocity field is not divergence-free: max |div u| = {rel:.3e} "
-            f"(relative), tolerance {tol:.0e}"
-        )
+            f"{what} is not solenoidal: max |div u| = {rel:.3e} "
+            f"(relative), tolerance {tol:.0e}")
 
 
-def _gradient_tensor_data(grid: Grid, uh: np.ndarray) -> np.ndarray:
-    """A_ij = d u_i / d x_j in spectral representation, shape (3,3) + spectral shape."""
-    return np.stack([
-        np.stack([spec_derivative(grid, uh[i], j) for j in range(3)])
-        for i in range(3)
-    ])
+def _lamb_vector(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Pointwise u x omega."""
+    c = np.empty_like(u)
+    c[0] = u[1] * w[2] - u[2] * w[1]
+    c[1] = u[2] * w[0] - u[0] * w[2]
+    c[2] = u[0] * w[1] - u[1] * w[0]
+    return c
 
 
 def velocity_gradient(u: VectorField) -> TensorField3:
     """A with A[i, j] = du_i/dx_j; rejects non-solenoidal input."""
-    _require_solenoidal(u)
-    grid = u.grid
-    ah = _gradient_tensor_data(grid, _spectral_data(u))
-    if u.rep == "physical":
-        return TensorField3(grid, to_physical(grid, ah), "physical")
-    return TensorField3(grid, ah, "spectral")
+    _require_solenoidal(u.grid, _spectral_data(u), "velocity field")
+    return gradient_tensor(u)
 
 
 def vorticity(u: VectorField) -> VectorField:
     """curl u, with omega_1 = d2 u3 - d3 u2 fixing the sign convention."""
-    grid = u.grid
-    wh = spec_curl(grid, _spectral_data(u))
-    if u.rep == "physical":
-        return VectorField(grid, to_physical(grid, wh), "physical")
-    return VectorField(grid, wh, "spectral")
+    return curl(u)
 
 
 def decompose(A: TensorField3) -> tuple[TensorField3, VectorField]:
@@ -107,6 +117,119 @@ def decompose(A: TensorField3) -> tuple[TensorField3, VectorField]:
     )
 
 
+class Workspace:
+    """The derived fields of one velocity, each computed on first use and
+    then kept.
+
+    Names ending in h are spectral coefficients; the others are physical
+    samples.  Component axes come first and a derivative index is the last
+    of them: a[i, j] = d_j u_i, ds[i, j, k] = d_k S_ij, dw[i, k] = d_k
+    omega_i, ddu[i, j, k] = d_j d_k u_i, hess_p[i, j] = d_i d_j p.  sh holds
+    the six components of SYMMETRIC_PAIRS.  Linear fields (S, omega, their
+    gradients, p) are formed from u_hat in spectral space; only products
+    are sampled and transformed forward.
+
+    A workspace holds many full-grid arrays: keep one only as long as the
+    computations that share it.
+    """
+
+    def __init__(self, u: VectorField):
+        self.u = u
+        self.grid = u.grid
+
+    @classmethod
+    def of(cls, u: VectorField,
+           workspace: Optional["Workspace"] = None) -> "Workspace":
+        """`workspace` when given, which must belong to u; else a new one."""
+        if workspace is None:
+            return cls(u)
+        if workspace.u is not u:
+            raise ValueError("the workspace belongs to another velocity")
+        return workspace
+
+    @cached_property
+    def uh(self) -> np.ndarray:
+        return _spectral_data(self.u)
+
+    @cached_property
+    def up(self) -> np.ndarray:
+        if self.u.rep == "physical":
+            return self.u.data
+        return to_physical(self.grid, self.uh)
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        return physical_gradient(self.grid, self.uh)
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        return 0.5 * (self.a + np.swapaxes(self.a, 0, 1))
+
+    @cached_property
+    def sh(self) -> np.ndarray:
+        g, uh = self.grid, self.uh
+        return np.stack([
+            0.5 * (spec_derivative(g, uh[i], j) + spec_derivative(g, uh[j], i))
+            for i, j in SYMMETRIC_PAIRS])
+
+    @cached_property
+    def ds(self) -> np.ndarray:
+        return unpack_symmetric(physical_gradient(self.grid, self.sh), axis=0)
+
+    @cached_property
+    def wh(self) -> np.ndarray:
+        return spec_curl(self.grid, self.uh)
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        return to_physical(self.grid, self.wh)
+
+    @cached_property
+    def dw(self) -> np.ndarray:
+        return physical_gradient(self.grid, self.wh)
+
+    @cached_property
+    def ddu(self) -> np.ndarray:
+        return physical_hessian(self.grid, self.uh)
+
+    @cached_property
+    def divu(self) -> np.ndarray:
+        return to_physical(self.grid, spec_divergence(self.grid, self.uh))
+
+    @cached_property
+    def advection_h(self) -> np.ndarray:
+        """(u . grad) u, sampled from u and A."""
+        return to_spectral(self.grid,
+                           np.einsum("j...,ij...->i...", self.up, self.a))
+
+    @cached_property
+    def div_advection(self) -> np.ndarray:
+        return to_physical(self.grid,
+                           spec_divergence(self.grid, self.advection_h))
+
+    @cached_property
+    def lamb_h(self) -> np.ndarray:
+        """u x omega, sampled from u and omega."""
+        return to_spectral(self.grid, _lamb_vector(self.up, self.w))
+
+    @cached_property
+    def ph(self) -> np.ndarray:
+        """Zero-mean pressure with lap(p) = -div((u . grad) u)."""
+        return spec_poisson(self.grid,
+                            -spec_divergence(self.grid, self.advection_h))
+
+    @cached_property
+    def hess_p(self) -> np.ndarray:
+        return physical_hessian(self.grid, self.ph)
+
+    @cached_property
+    def invariants(self) -> "InvariantFields":
+        # through the module attribute, so that a wrapper on
+        # kinematics.invariants (benchmark/tracing.py, the transform-count
+        # test) sees each computation: one call per velocity
+        return invariants(self.u, self)
+
+
 @dataclass(frozen=True)
 class InvariantFields:
     """Pointwise invariant scalars of one velocity snapshot (physical rep).
@@ -123,44 +246,24 @@ class InvariantFields:
     omega_S_omega: ScalarField
     grad_S_sq: ScalarField
     grad_omega_sq: ScalarField
-    variance_P: ScalarField
 
 
-def invariants(u: VectorField) -> InvariantFields:
-    _require_solenoidal(u)
-    grid = u.grid
-    uh = _spectral_data(u)
-
-    ah = _gradient_tensor_data(grid, uh)
-    a = to_physical(grid, ah)
-    s = 0.5 * (a + np.swapaxes(a, 0, 1))
-    w = to_physical(grid, spec_curl(grid, uh))
-
+def invariants(u: VectorField,
+               workspace: Optional[Workspace] = None) -> InvariantFields:
+    """The invariant scalars of u; `workspace`, u's own, shares its fields."""
+    ws = Workspace.of(u, workspace)
+    _require_solenoidal(ws.grid, ws.uh, "velocity field")
+    a, s, w = ws.a, ws.s, ws.w
     trA2 = np.einsum("ij...,ji...->...", a, a)
     trA3 = np.einsum("ij...,jk...,ki...->...", a, a, a)
     trS2 = np.einsum("ij...,ij...->...", s, s)
     trS3 = np.einsum("ij...,jk...,ki...->...", s, s, s)
     enst = np.einsum("i...,i...->...", w, w)
     wsw = np.einsum("i...,ij...,j...->...", w, s, w)
+    grad_s = np.einsum("ijk...,ijk...->...", ws.ds, ws.ds)
+    grad_w = np.einsum("ik...,ik...->...", ws.dw, ws.dw)
 
-    # gradients of S and omega: one batched inverse transform each
-    sh = to_spectral(grid, s)
-    ds = to_physical(grid, np.stack(
-        [spec_derivative(grid, sh, k) for k in range(3)]))
-    grad_s = np.einsum("kij...,kij...->...", ds, ds)
-    wh = to_spectral(grid, w)
-    dw = to_physical(grid, np.stack(
-        [spec_derivative(grid, wh, k) for k in range(3)]))
-    grad_w = np.einsum("ki...,ki...->...", dw, dw)
-
-    eigs = _eigenvalues_from_traces(trS2, trS3)
-    p_var = (
-        (eigs[0] - eigs[1]) ** 2
-        + (eigs[1] - eigs[2]) ** 2
-        + (eigs[2] - eigs[0]) ** 2
-    ) / 3.0
-
-    wrap = lambda arr: ScalarField(grid, arr, "physical")  # noqa: E731
+    wrap = lambda arr: ScalarField(ws.grid, arr, "physical")  # noqa: E731
     return InvariantFields(
         trA2=wrap(trA2),
         trA3=wrap(trA3),
@@ -170,7 +273,6 @@ def invariants(u: VectorField) -> InvariantFields:
         omega_S_omega=wrap(wsw),
         grad_S_sq=wrap(grad_s),
         grad_omega_sq=wrap(grad_w),
-        variance_P=wrap(p_var),
     )
 
 
@@ -260,10 +362,8 @@ def variance_P(eigs: StrainEigenvalues) -> tuple[ScalarField, ScalarField]:
     )
 
 
-def mean_helicity(u: VectorField) -> float:
+def mean_helicity(u: VectorField,
+                  workspace: Optional[Workspace] = None) -> float:
     """Volume mean of u . curl u."""
-    grid = u.grid
-    uh = _spectral_data(u)
-    up = u.data if u.rep == "physical" else to_physical(grid, uh)
-    w = to_physical(grid, spec_curl(grid, uh))
-    return float(np.einsum("i...,i...->...", up, w).mean())
+    ws = Workspace.of(u, workspace)
+    return float(np.einsum("i...,i...->...", ws.up, ws.w).mean())

@@ -23,20 +23,26 @@ from typing import Optional
 
 import numpy as np
 
-from .identities import ResidualReport
-from .kinematics import relative_divergence
+from .identities import (
+    ResidualReport,
+    _advective_flux,
+    _dot,
+    _pressure_flux,
+    _report,
+    _viscous_flux,
+)
+from .kinematics import Workspace, _require_solenoidal
 from .spectral import (
     Grid,
     ScalarField,
     VectorField,
-    spec_curl,
-    spec_derivative,
+    physical_gradient,
     spec_divergence,
-    spec_poisson,
     spec_project,
     spectral_mean_square,
     to_physical,
     to_spectral,
+    unpack_symmetric,
 )
 
 __all__ = [
@@ -51,11 +57,10 @@ __all__ = [
     "initial_condition",
     "nondimensionalize",
     "redimensionalize",
+    "evolution_workspaces",
     "evolution_residual",
     "EVOLUTION_CHECKS",
 ]
-
-_SOLENOID_TOL = 1e-10
 
 
 class CFLViolation(RuntimeError):
@@ -95,11 +100,7 @@ class FlowState:
         param = self.nu if self.nu is not None else self.re
         if not (np.isfinite(param) and param > 0):
             raise ValueError(f"viscosity parameter must be positive, got {param}")
-        rel = relative_divergence(self.u)
-        if rel >= _SOLENOID_TOL:
-            raise ValueError(
-                f"state velocity is not solenoidal: max |k.u_hat| / max |u_hat| "
-                f"= {rel:.3e}")
+        _require_solenoidal(self.u.grid, self.u.data, "state velocity")
 
     @property
     def mode(self) -> str:
@@ -179,51 +180,37 @@ def leray_project(v: VectorField) -> VectorField:
     return VectorField(v.grid, to_physical(v.grid, vh), "physical")
 
 
-def _advection(grid: Grid, uh: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """(u . grad) u in physical space from the spectral gradient tensor."""
-    a = to_physical(grid, np.stack(
-        [np.stack([spec_derivative(grid, uh[i], j) for j in range(3)])
-         for i in range(3)]))
-    return np.einsum("j...,ij...->i...", up, a)
-
-
-def pressure_from_velocity(u: VectorField) -> ScalarField:
+def pressure_from_velocity(u: VectorField,
+                           workspace: Optional[Workspace] = None
+                           ) -> ScalarField:
     """Zero-mean pressure with lap(p) = -div((u . grad) u)."""
-    rel = relative_divergence(u)
-    if rel >= _SOLENOID_TOL:
-        raise ValueError(f"pressure solve needs a solenoidal velocity; "
-                         f"relative divergence {rel:.3e}")
-    grid = u.grid
-    uh = u.data if u.rep == "spectral" else to_spectral(grid, u.data)
-    up = u.data if u.rep == "physical" else to_physical(grid, uh)
-    wh = to_spectral(grid, _advection(grid, uh, up))
-    ph = spec_poisson(grid, -spec_divergence(grid, wh))
+    ws = Workspace.of(u, workspace)
+    _require_solenoidal(ws.grid, ws.uh, "velocity of the pressure solve")
     if u.rep == "physical":
-        return ScalarField(grid, to_physical(grid, ph), "physical")
-    return ScalarField(grid, ph, "spectral")
+        return ScalarField(ws.grid, to_physical(ws.grid, ws.ph), "physical")
+    return ScalarField(ws.grid, ws.ph, "spectral")
 
 
-def _nonlinear(grid: Grid, uh: np.ndarray, dealias: bool = True):
-    """Projected (and masked) spectral u x omega; also the max point speed."""
-    u = to_physical(grid, uh)
-    w = to_physical(grid, spec_curl(grid, uh))
-    c = np.empty_like(u)
-    c[0] = u[1] * w[2] - u[2] * w[1]
-    c[1] = u[2] * w[0] - u[0] * w[2]
-    c[2] = u[0] * w[1] - u[1] * w[0]
-    ch = to_spectral(grid, c)
+def _nonlinear(ws: Workspace, dealias: bool = True) -> np.ndarray:
+    """Projected (and masked) spectral u x omega of the workspace's velocity;
+    the one form of the nonlinear term, shared by step and ns_rhs."""
+    ch = ws.lamb_h
     if dealias:
-        ch = ch * grid.dealias_mask
-    speed = math.sqrt(float((u * u).sum(axis=0).max()))
-    return spec_project(grid, ch), speed
+        ch = ch * ws.grid.dealias_mask
+    return spec_project(ws.grid, ch)
 
 
-def ns_rhs(state: FlowState, dealias: bool = True) -> VectorField:
-    """du/dt = nu lap(u) - P[(u . grad) u], spectral and solenoidal."""
+def _stage(grid: Grid, uh: np.ndarray) -> Workspace:
+    return Workspace(VectorField(grid, uh, "spectral"))
+
+
+def ns_rhs(state: FlowState, dealias: bool = True,
+           workspace: Optional[Workspace] = None) -> VectorField:
+    """du/dt = nu lap(u) - P[(u . grad) u], spectral and solenoidal;
+    `workspace`, that of state.u, lends its samples of u and omega."""
     grid = state.grid
-    uh = state.u.data
-    nl, _ = _nonlinear(grid, uh, dealias)
-    rhs = nl - (state.effective_viscosity * grid.k2) * uh
+    nl = _nonlinear(Workspace.of(state.u, workspace), dealias)
+    rhs = nl - (state.effective_viscosity * grid.k2) * state.u.data
     return VectorField(grid, rhs, "spectral")
 
 
@@ -251,14 +238,17 @@ def step(state: FlowState, config: SolverConfig) -> FlowState:
     e_full, e_half = _viscous_factors(grid, nu, h)
 
     uh = state.u.data
-    n1, speed = _nonlinear(grid, uh)
+    first = Workspace(state.u)
+    n1 = _nonlinear(first)
+    speed = math.sqrt(float((first.up * first.up).sum(axis=0).max()))
+    del first
     if speed > 0.0:
         bound = config.cfl_constant * grid.spacing / speed
         if h > bound:
             raise CFLViolation(h, bound, speed, state.t)
-    n2, _ = _nonlinear(grid, e_half * (uh + (0.5 * h) * n1))
-    n3, _ = _nonlinear(grid, e_half * uh + (0.5 * h) * n2)
-    n4, _ = _nonlinear(grid, e_full * uh + h * (e_half * n3))
+    n2 = _nonlinear(_stage(grid, e_half * (uh + (0.5 * h) * n1)))
+    n3 = _nonlinear(_stage(grid, e_half * uh + (0.5 * h) * n2))
+    n4 = _nonlinear(_stage(grid, e_full * uh + h * (e_half * n3)))
     new = e_full * uh + (h / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
     return FlowState(VectorField(grid, new, "spectral"),
                      t=state.t + h, nu=state.nu, re=state.re)
@@ -370,11 +360,141 @@ def redimensionalize(state: FlowState, scaling: DimensionlessScaling) -> FlowSta
 
 # ---------------------------------------------------------------------------
 # evolution-equation residuals
+#
+# Each check reads the workspace f of u and the workspace fd of du/dt, so
+# that A-dot, S-dot and omega-dot are fd.a, fd.s and fd.w.
 
 EVOLUTION_CHECKS = ("vorticity", "energy", "enstrophy", "strain", "trS2", "trS3")
 
 
-def evolution_residual(state: FlowState, which: str) -> tuple[ResidualReport, ...]:
+def evolution_workspaces(state: FlowState) -> tuple[Workspace, Workspace]:
+    """Workspaces of state.u and of du/dt = ns_rhs(state); building the
+    second reuses the first's samples of u and omega."""
+    f = Workspace(state.u)
+    return f, Workspace(ns_rhs(state, workspace=f))
+
+
+def _lstar_scalar(nu: float, f: Workspace, q: np.ndarray) -> np.ndarray:
+    """nu lap q - u . grad q with spectral derivatives of the samples."""
+    g = f.grid
+    qh = to_spectral(g, q)
+    return (nu * to_physical(g, qh * (-g.k2))
+            - _dot(f.up, physical_gradient(g, qh)))
+
+
+def _lap_s(f: Workspace) -> np.ndarray:
+    return unpack_symmetric(to_physical(f.grid, f.sh * (-f.grid.k2)), axis=0)
+
+
+def _check_vorticity(nu, f, fd):
+    lap_w = to_physical(f.grid, f.wh * (-f.grid.k2))
+    advect_w = np.einsum("j...,ij...->i...", f.up, f.dw)
+    lhs = fd.w - nu * lap_w + advect_w
+    rhs = np.einsum("ij...,j...->i...", f.s, f.w)
+    return (_report("vorticity", lhs - rhs, lhs),)
+
+
+def _check_energy(nu, f, fd):
+    g = f.grid
+    enstrophy = f.invariants.enstrophy.data
+    lhs = 2.0 * _dot(f.up, fd.up) - _lstar_scalar(nu, f, _dot(f.up, f.up))
+
+    div_pu = (_dot(f.up, physical_gradient(g, f.ph))
+              + to_physical(g, f.ph) * f.divu)
+    div_cross = to_physical(g, spec_divergence(g, f.lamb_h))
+
+    rhs_closing = -2.0 * nu * enstrophy \
+        - 2.0 * nu * f.div_advection - 2.0 * div_pu
+    rhs_displayed = -nu * enstrophy + nu * div_cross - 2.0 * div_pu
+    return (
+        _report("energy[advective-flux]", lhs - rhs_closing, lhs),
+        _report("energy[curl-flux]", lhs - rhs_displayed, lhs),
+    )
+
+
+def _check_enstrophy(nu, f, fd):
+    inv = f.invariants
+    lhs = _dot(f.w, fd.w) - _lstar_scalar(nu, f, 0.5 * inv.enstrophy.data)
+    rhs = inv.omega_S_omega.data - nu * inv.grad_omega_sq.data
+    return (_report("enstrophy", lhs - rhs, lhs),)
+
+
+def _check_strain(nu, f, fd):
+    advect_s = np.einsum("k...,ijk...->ij...", f.up, f.ds)
+    lhs = fd.s - nu * _lap_s(f) + advect_s
+
+    s2 = np.einsum("ik...,kj...->ij...", f.s, f.s)
+    eye = np.eye(3).reshape(3, 3, 1, 1, 1)
+    rhs = -s2 + 0.25 * (eye * f.invariants.enstrophy.data
+                        - np.einsum("i...,j...->ij...", f.w, f.w)) \
+        - f.hess_p
+    return (_report("strain", lhs - rhs, lhs),)
+
+
+def _check_trS2(nu, f, fd):
+    inv = f.invariants
+    lhs = 2.0 * np.einsum("ij...,ij...->...", f.s, fd.s) \
+        - _lstar_scalar(nu, f, inv.trS2.data)
+
+    wsw = inv.omega_S_omega.data
+    grad_w2 = inv.grad_omega_sq.data
+    s_hess = np.einsum("ij...,ij...->...", f.s, f.hess_p)
+    rhs_direct = (-2.0 * inv.trS3.data - 0.5 * wsw
+                  - 2.0 * nu * inv.grad_S_sq.data - 2.0 * s_hess)
+
+    # divergence form, assembled from the product-rule expansions of the
+    # identity checks so no sampled product is differentiated spectrally
+    pressure_flux = _pressure_flux(f, f.ph, f.hess_p)
+    first, u_grad_q = _advective_flux(f)
+    viscous_flux = _viscous_flux(f)
+
+    def rhs_divform(c: float) -> np.ndarray:
+        bracket2 = 2.0 * (first + u_grad_q) \
+            - c * (u_grad_q + f.div_advection * f.divu)
+        return (wsw - nu * grad_w2 - 2.0 * pressure_flux
+                - bracket2 - 2.0 * nu * viscous_flux)
+
+    rhs_c3 = rhs_divform(3.0)
+    rhs_c1 = rhs_divform(1.0)
+    return (
+        _report("trS2[direct]", lhs - rhs_direct, lhs),
+        _report("trS2[divergence c=3]", lhs - rhs_c3, lhs),
+        _report("trS2[divergence c=1]", lhs - rhs_c1, lhs),
+        _report("trS2[agreement c=3]", rhs_direct - rhs_c3, rhs_direct),
+        _report("trS2[agreement c=1]", rhs_direct - rhs_c1, rhs_direct),
+    )
+
+
+def _check_trS3(nu, f, fd):
+    inv = f.invariants
+    s, ds = f.s, f.ds
+    s2 = np.einsum("ik...,kj...->ij...", s, s)
+
+    # lap and advection of trS^3 via pointwise contractions: the cubic
+    # itself is never transformed
+    s_ds_ds = np.einsum("ij...,jkl...,kil...->...", s, ds, ds)
+    lap_q = 3.0 * np.einsum("ij...,ij...->...", s2, _lap_s(f)) + 6.0 * s_ds_ds
+    advect_q = 3.0 * np.einsum("l...,ij...,ijl...->...", f.up, s2, ds)
+    lhs = 3.0 * np.einsum("ij...,ij...->...", s2, fd.s) \
+        - nu * lap_q + advect_q
+
+    tr_s2 = inv.trS2.data
+    sw = np.einsum("ij...,j...->i...", s, f.w)
+    common = (0.75 * (tr_s2 * inv.enstrophy.data - _dot(sw, sw))
+              - 6.0 * nu * s_ds_ds
+              - 3.0 * np.einsum("ij...,ij...->...", s2, f.hess_p))
+    tr_s4 = np.einsum("ij...,ij...->...", s2, s2)
+    rhs_s4 = -3.0 * tr_s4 + common
+    rhs_sq = -3.0 * tr_s2 * tr_s2 + common
+    return (
+        _report("trS3[tr(S^4)]", lhs - rhs_s4, lhs),
+        _report("trS3[(tr S^2)^2]", lhs - rhs_sq, lhs),
+    )
+
+
+def evolution_residual(state: FlowState, which: str,
+                       workspaces: Optional[tuple] = None
+                       ) -> tuple[ResidualReport, ...]:
     """Residuals of (d/dt - Lstar) applied to one evolved quantity.
 
     Lstar = nu lap - u . grad; time derivatives come from the chain rule on
@@ -383,239 +503,16 @@ def evolution_residual(state: FlowState, which: str) -> tuple[ResidualReport, ..
     form; trS2 in its direct form and divergence form with second-bracket
     coefficients 3 (closing) and 1 (non-closing), plus the cross-form
     agreement; trS3 under both readings of its -3|S|^4 term.
+    `workspaces`, from evolution_workspaces(state), shares fields between
+    checks.
     """
     if which not in EVOLUTION_CHECKS:
         raise ValueError(f"unknown evolution check {which!r}; "
                          f"expected one of {EVOLUTION_CHECKS}")
-    ws = _EvolutionWorkspace(state)
-    return getattr(ws, "check_" + which)()
-
-
-def _norms(name: str, residual: np.ndarray, lhs: np.ndarray) -> ResidualReport:
-    sup = float(np.abs(residual).max())
-    l2 = float(np.sqrt(np.mean(residual * residual)))
-    ref = float(np.abs(lhs).max())
-    return ResidualReport(name, sup, l2, ref, sup / max(ref, 1e-300))
-
-
-class _EvolutionWorkspace:
-    """Arrays shared by the residual checks at one state."""
-
-    def __init__(self, state: FlowState):
-        g = self.grid = state.grid
-        self.nu = state.effective_viscosity
-        self.uh = state.u.data
-        self.udoth = ns_rhs(state).data
-        self.up = to_physical(g, self.uh)
-        self.udotp = to_physical(g, self.udoth)
-        self.a = self._grad_tensor(self.uh)
-        self.adot = self._grad_tensor(self.udoth)
-        self.s = 0.5 * (self.a + np.swapaxes(self.a, 0, 1))
-        self.sdot = 0.5 * (self.adot + np.swapaxes(self.adot, 0, 1))
-        self.wh = spec_curl(g, self.uh)
-        self.w = to_physical(g, self.wh)
-        self.wdot = to_physical(g, spec_curl(g, self.udoth))
-        self.enstrophy = np.einsum("i...,i...->...", self.w, self.w)
-        self.advection = np.einsum("j...,ij...->i...", self.up, self.a)
-        self.advection_h = to_spectral(g, self.advection)
-        self.ph = spec_poisson(g, -spec_divergence(g, self.advection_h))
-        self.p = to_physical(g, self.ph)
-        self.divu = to_physical(g, spec_divergence(g, self.uh))
-
-    # -- small spectral helpers -------------------------------------------
-    def _grad_tensor(self, vh: np.ndarray) -> np.ndarray:
-        g = self.grid
-        return to_physical(g, np.stack(
-            [np.stack([spec_derivative(g, vh[i], j) for j in range(3)])
-             for i in range(3)]))
-
-    def _grad_scalar_h(self, fh: np.ndarray) -> np.ndarray:
-        g = self.grid
-        return to_physical(g, np.stack(
-            [spec_derivative(g, fh, k) for k in range(3)]))
-
-    def _lstar_scalar(self, f: np.ndarray) -> np.ndarray:
-        """nu lap f - u . grad f with spectral derivatives of the samples."""
-        g = self.grid
-        fh = to_spectral(g, f)
-        lap = to_physical(g, fh * (-g.k2))
-        grad = self._grad_scalar_h(fh)
-        return self.nu * lap - np.einsum("i...,i...->...", self.up, grad)
-
-    # -- checks ------------------------------------------------------------
-    def check_vorticity(self) -> tuple[ResidualReport, ...]:
-        g = self.grid
-        lap_w = to_physical(g, self.wh * (-g.k2))
-        dw = to_physical(g, np.stack(
-            [np.stack([spec_derivative(g, self.wh[i], j) for j in range(3)])
-             for i in range(3)]))
-        advect_w = np.einsum("j...,ij...->i...", self.up, dw)
-        lhs = self.wdot - self.nu * lap_w + advect_w
-        rhs = np.einsum("ij...,j...->i...", self.s, self.w)
-        return (_norms("vorticity", lhs - rhs, lhs),)
-
-    def check_energy(self) -> tuple[ResidualReport, ...]:
-        g = self.grid
-        q = np.einsum("i...,i...->...", self.up, self.up)
-        lhs = 2.0 * np.einsum("i...,i...->...", self.up, self.udotp) \
-            - self._lstar_scalar(q)
-
-        grad_p = self._grad_scalar_h(self.ph)
-        div_pu = np.einsum("i...,i...->...", self.up, grad_p) + self.p * self.divu
-        div_adv = to_physical(g, spec_divergence(g, self.advection_h))
-        cross = np.empty_like(self.up)
-        cross[0] = self.up[1] * self.w[2] - self.up[2] * self.w[1]
-        cross[1] = self.up[2] * self.w[0] - self.up[0] * self.w[2]
-        cross[2] = self.up[0] * self.w[1] - self.up[1] * self.w[0]
-        div_cross = to_physical(g, spec_divergence(g, to_spectral(g, cross)))
-
-        rhs_closing = -2.0 * self.nu * self.enstrophy \
-            - 2.0 * self.nu * div_adv - 2.0 * div_pu
-        rhs_displayed = -self.nu * self.enstrophy \
-            + self.nu * div_cross - 2.0 * div_pu
-        return (
-            _norms("energy[advective-flux]", lhs - rhs_closing, lhs),
-            _norms("energy[curl-flux]", lhs - rhs_displayed, lhs),
-        )
-
-    def check_enstrophy(self) -> tuple[ResidualReport, ...]:
-        g = self.grid
-        q = 0.5 * self.enstrophy
-        lhs = np.einsum("i...,i...->...", self.w, self.wdot) \
-            - self._lstar_scalar(q)
-        dw = to_physical(g, np.stack(
-            [spec_derivative(g, self.wh, k) for k in range(3)]))
-        grad_w2 = np.einsum("ki...,ki...->...", dw, dw)
-        wsw = np.einsum("i...,ij...,j...->...", self.w, self.s, self.w)
-        rhs = wsw - self.nu * grad_w2
-        return (_norms("enstrophy", lhs - rhs, lhs),)
-
-    def check_strain(self) -> tuple[ResidualReport, ...]:
-        g = self.grid
-        sh = to_spectral(g, self.s)
-        lap_s = to_physical(g, sh * (-g.k2))
-        ds = to_physical(g, np.stack(
-            [spec_derivative(g, sh, k) for k in range(3)]))
-        advect_s = np.einsum("k...,kij...->ij...", self.up, ds)
-        lhs = self.sdot - self.nu * lap_s + advect_s
-
-        s2 = np.einsum("ik...,kj...->ij...", self.s, self.s)
-        eye = np.eye(3).reshape(3, 3, 1, 1, 1)
-        hess_p = to_physical(g, np.stack(
-            [np.stack([spec_derivative(g, spec_derivative(g, self.ph, i), j)
-                       for j in range(3)]) for i in range(3)]))
-        rhs = -s2 + 0.25 * (eye * self.enstrophy
-                            - np.einsum("i...,j...->ij...", self.w, self.w)) \
-            - hess_p
-        return (_norms("strain", lhs - rhs, lhs),)
-
-    def _trs2_pieces(self):
-        g = self.grid
-        sh = to_spectral(g, self.s)
-        ds = to_physical(g, np.stack(
-            [spec_derivative(g, sh, k) for k in range(3)]))
-        dw = to_physical(g, np.stack(
-            [spec_derivative(g, self.wh, k) for k in range(3)]))
-        hess_p = to_physical(g, np.stack(
-            [np.stack([spec_derivative(g, spec_derivative(g, self.ph, i), j)
-                       for j in range(3)]) for i in range(3)]))
-        return sh, ds, dw, hess_p
-
-    def check_trS2(self) -> tuple[ResidualReport, ...]:
-        g = self.grid
-        sh, ds, dw, hess_p = self._trs2_pieces()
-        q = np.einsum("ij...,ij...->...", self.s, self.s)
-        lhs = 2.0 * np.einsum("ij...,ij...->...", self.s, self.sdot) \
-            - self._lstar_scalar(q)
-
-        tr_s3 = np.einsum("ij...,jk...,ki...->...", self.s, self.s, self.s)
-        wsw = np.einsum("i...,ij...,j...->...", self.w, self.s, self.w)
-        grad_s2 = np.einsum("kij...,kij...->...", ds, ds)
-        grad_w2 = np.einsum("ki...,ki...->...", dw, dw)
-        s_hess = np.einsum("ij...,ij...->...", self.s, hess_p)
-        rhs_direct = (-2.0 * tr_s3 - 0.5 * wsw
-                      - 2.0 * self.nu * grad_s2 - 2.0 * s_hess)
-
-        # divergence form, assembled term by term with product-rule
-        # expansions so no sampled product is differentiated spectrally
-        lap_p = to_physical(g, self.ph * (-g.k2))
-        u_grad_lap_p = np.einsum(
-            "i...,i...->...", self.up,
-            self._grad_scalar_h(to_spectral(g, lap_p)))
-        pressure_flux = (np.einsum("ji...,ij...->...", self.a, hess_p)
-                         + u_grad_lap_p) - (u_grad_lap_p + lap_p * self.divu)
-
-        dadv = to_physical(g, np.stack(
-            [np.stack([spec_derivative(g, self.advection_h[i], j)
-                       for j in range(3)]) for i in range(3)]))
-        div_u_grad_w = np.einsum("ji...,ij...->...", self.a, dadv) \
-            + np.einsum("i...,i...->...", self.up, self._grad_scalar_h(
-                spec_divergence(g, self.advection_h)))
-        q_adv = to_physical(g, spec_divergence(g, self.advection_h))
-        u_grad_q = np.einsum("i...,i...->...", self.up,
-                             self._grad_scalar_h(to_spectral(g, q_adv)))
-
-        dd = to_physical(g, np.stack(
-            [np.stack([np.stack([
-                spec_derivative(g, spec_derivative(g, self.uh[i], k), j)
-                for j in range(3)]) for k in range(3)]) for i in range(3)]))
-        gki = np.einsum("j...,ikj...->ki...", self.up, dd)
-        gh = to_spectral(g, gki)
-        trace_term = to_physical(g, sum(
-            spec_derivative(g, spec_derivative(g, gh[k, i], k), i)
-            for k in range(3) for i in range(3)))
-        lap_uh = self.uh * (-g.k2)
-        dlap = to_physical(g, np.stack(
-            [np.stack([spec_derivative(g, lap_uh[i], j) for j in range(3)])
-             for i in range(3)]))
-        adv_lap = np.einsum("j...,ij...->i...", self.up, dlap)
-        div_adv_lap = to_physical(g, spec_divergence(g, to_spectral(g, adv_lap)))
-        viscous_flux = trace_term - div_adv_lap
-
-        def rhs_divform(c: float) -> np.ndarray:
-            bracket2 = 2.0 * div_u_grad_w - c * (u_grad_q + q_adv * self.divu)
-            return (wsw - self.nu * grad_w2 - 2.0 * pressure_flux
-                    - bracket2 - 2.0 * self.nu * viscous_flux)
-
-        rhs_c3 = rhs_divform(3.0)
-        rhs_c1 = rhs_divform(1.0)
-        return (
-            _norms("trS2[direct]", lhs - rhs_direct, lhs),
-            _norms("trS2[divergence c=3]", lhs - rhs_c3, lhs),
-            _norms("trS2[divergence c=1]", lhs - rhs_c1, lhs),
-            _norms("trS2[agreement c=3]", rhs_direct - rhs_c3, rhs_direct),
-            _norms("trS2[agreement c=1]", rhs_direct - rhs_c1, rhs_direct),
-        )
-
-    def check_trS3(self) -> tuple[ResidualReport, ...]:
-        g = self.grid
-        sh = to_spectral(g, self.s)
-        ds = to_physical(g, np.stack(
-            [spec_derivative(g, sh, k) for k in range(3)]))
-        lap_s = to_physical(g, sh * (-g.k2))
-        s2 = np.einsum("ik...,kj...->ij...", self.s, self.s)
-
-        # lap and advection of trS^3 via pointwise contractions: the cubic
-        # itself is never transformed
-        s_ds_ds = np.einsum("ij...,ljk...,lki...->...", self.s, ds, ds)
-        lap_q = 3.0 * np.einsum("ij...,ij...->...", s2, lap_s) + 6.0 * s_ds_ds
-        advect_q = 3.0 * np.einsum("l...,ij...,lij...->...", self.up, s2, ds)
-        lhs = 3.0 * np.einsum("ij...,ij...->...", s2, self.sdot) \
-            - self.nu * lap_q + advect_q
-
-        tr_s2 = np.einsum("ij...,ij...->...", self.s, self.s)
-        sw = np.einsum("ij...,j...->i...", self.s, self.w)
-        sw2 = np.einsum("i...,i...->...", sw, sw)
-        hess_p = to_physical(g, np.stack(
-            [np.stack([spec_derivative(g, spec_derivative(g, self.ph, i), j)
-                       for j in range(3)]) for i in range(3)]))
-        common = (0.75 * (tr_s2 * self.enstrophy - sw2)
-                  - 6.0 * self.nu * s_ds_ds
-                  - 3.0 * np.einsum("ij...,ij...->...", s2, hess_p))
-        tr_s4 = np.einsum("ij...,ij...->...", s2, s2)
-        rhs_s4 = -3.0 * tr_s4 + common
-        rhs_sq = -3.0 * tr_s2 * tr_s2 + common
-        return (
-            _norms("trS3[tr(S^4)]", lhs - rhs_s4, lhs),
-            _norms("trS3[(tr S^2)^2]", lhs - rhs_sq, lhs),
-        )
+    if workspaces is None:
+        workspaces = evolution_workspaces(state)
+    f, fd = workspaces
+    if f.u is not state.u:
+        raise ValueError("the workspaces belong to another state")
+    check = globals()["_check_" + which]
+    return check(state.effective_viscosity, f, fd)

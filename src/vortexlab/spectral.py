@@ -14,6 +14,8 @@ pure: it returns a new field and leaves its inputs untouched.
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 from dataclasses import dataclass
 from typing import ClassVar, Literal, Union
@@ -49,7 +51,9 @@ _TWO_PI = 2.0 * np.pi
 
 
 def fft_workers() -> int:
-    """Worker-thread count for FFT calls, capped by the VXL_THREADS variable."""
+    """Worker-thread count for FFT calls: the CPUs this process may use
+    (_cpu_limit), capped by the VXL_THREADS variable when it is set."""
+    limit = _cpu_limit()
     raw = os.environ.get("VXL_THREADS")
     if raw is not None and raw.strip():
         try:
@@ -60,8 +64,35 @@ def fft_workers() -> int:
             ) from None
         if workers < 1:
             raise ValueError(f"VXL_THREADS must be a positive integer, got {raw!r}")
-        return workers
-    return os.cpu_count() or 1
+        return min(workers, limit)
+    return limit
+
+
+_CGROUP_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+
+
+def _cpu_quota():
+    """CPUs granted by the cgroup v2 cpu.max quota; None when there is none."""
+    try:
+        with open(_CGROUP_CPU_MAX) as fh:
+            quota, period = fh.read().split()
+        return None if quota == "max" else int(quota) / int(period)
+    except (OSError, ValueError):
+        return None
+
+
+@functools.lru_cache(maxsize=None)
+def _cpu_limit() -> int:
+    """The affinity mask's CPU count, bounded by the cgroup quota rounded
+    up; computed once per process, as fft_workers runs on every transform."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # platforms without affinity masks
+        cpus = os.cpu_count() or 1
+    quota = _cpu_quota()
+    if quota:
+        cpus = min(cpus, math.ceil(quota))
+    return max(1, cpus)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -206,7 +237,9 @@ def spec_derivative(grid: Grid, coeffs: np.ndarray, axis: int) -> np.ndarray:
 
 
 def spec_gradient(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    return np.stack([spec_derivative(grid, coeffs, a) for a in range(3)])
+    """d_k of every component of coeffs, k on a new last component axis."""
+    return np.stack([spec_derivative(grid, coeffs, k) for k in range(3)],
+                    axis=-4)
 
 
 def spec_divergence(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
@@ -262,6 +295,31 @@ def spec_band_limit(grid: Grid, coeffs: np.ndarray, max_mode: float) -> np.ndarr
     mx, my, mz = grid.modes
     keep = (mx * mx + my * my + mz * mz) < max_mode * max_mode
     return coeffs * keep
+
+
+# the six index pairs (i, j), i <= j, of a symmetric 3x3 tensor, and the
+# position of every (i, j) in that list
+SYMMETRIC_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_PAIR_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+
+
+def unpack_symmetric(packed: np.ndarray, axis: int = -4) -> np.ndarray:
+    """Full 3x3 components from the six of SYMMETRIC_PAIRS held on `axis`."""
+    return np.take(packed, _PAIR_INDEX, axis=axis)
+
+
+def physical_gradient(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Samples of d_k of every component of coeffs, k on a new last axis."""
+    return to_physical(grid, spec_gradient(grid, coeffs))
+
+
+def physical_hessian(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Samples of d_i d_j of every component of coeffs on two new last
+    axes (i, j); only the six pairs i <= j are transformed."""
+    kd = grid.kd
+    packed = np.stack([coeffs * (-kd[i] * kd[j]) for i, j in SYMMETRIC_PAIRS],
+                      axis=-4)
+    return unpack_symmetric(to_physical(grid, packed))
 
 
 def spectral_mean_square(grid: Grid, coeffs: np.ndarray) -> float:
@@ -413,27 +471,15 @@ def gradient_tensor(field: VectorField) -> TensorField3:
     if not isinstance(field, VectorField):
         raise TypeError("gradient_tensor expects a VectorField")
 
-    def fn(grid, coeffs):
-        return np.stack([
-            np.stack([spec_derivative(grid, coeffs[i], j) for j in range(3)])
-            for i in range(3)
-        ])
-
-    return _wrap(field, TensorField3, _spectral_op(field, fn))
+    return _wrap(field, TensorField3, _spectral_op(field, spec_gradient))
 
 
 def hessian(field: ScalarField) -> TensorField3:
     if not isinstance(field, ScalarField):
         raise TypeError("hessian expects a ScalarField")
 
-    def fn(grid, coeffs):
-        grads = [spec_derivative(grid, coeffs, i) for i in range(3)]
-        return np.stack([
-            np.stack([spec_derivative(grid, grads[i], j) for j in range(3)])
-            for i in range(3)
-        ])
-
-    return _wrap(field, TensorField3, _spectral_op(field, fn))
+    return _wrap(field, TensorField3, _spectral_op(
+        field, lambda g, c: spec_gradient(g, spec_gradient(g, c))))
 
 
 def solve_poisson(rhs: ScalarField) -> ScalarField:

@@ -71,6 +71,8 @@ def load_field(path):
             f"expected {expected}")
     grid = Grid(n, box_length)
     flat = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
+    if not np.isfinite(flat).all():
+        raise ValueError(f"snapshot {path} has non-finite values")
     comps = flat.reshape(tag, n, n, n).transpose(0, 3, 2, 1)
     if tag == 1:
         field: Field = ScalarField.physical(grid, comps[0])

@@ -9,8 +9,10 @@ import json
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import vortexlab as vx
+from vortexlab import cli, kinematics, spectral
 from vortexlab.cli import _read_config_file, main
 from vortexlab.storage import save_field, save_state
 
@@ -169,6 +171,17 @@ class TestSimulate:
         assert code == 2
         assert "in use" in stderr_payload(err)["message"]
 
+    def test_non_finite_initial_state_refused(self, capsys, tmp_path):
+        # 2 * energy overflows, so the scaled random field is inf and NaN
+        out = tmp_path / "run"
+        code, _, err = run_cli(capsys, "simulate", "--n", "16", "--ic",
+                               "random", "--energy", "1e308", "--re", "100",
+                               "--dt", "0.01", "--t-end", "0.02",
+                               "--output-interval", "0.01", "--out", str(out))
+        assert code != 0
+        assert "non-finite" in stderr_payload(err)["message"]
+        assert not (out / "diagnostics.csv").exists()
+
     def test_cfl_abort(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--n", "16", "--nu",
                                "1e-4", "--dt", "0.3", "--t-end", "0.6",
@@ -235,6 +248,46 @@ class TestVerify:
                                str(tmp_path / "nope.vxl"))
         assert code == 2
         assert stderr_payload(err)["error"] == "io"
+
+
+class TestVerifyCost:
+    """One verify shares the derived fields of each velocity it checks."""
+
+    # scalar fields transformed by one verify, whatever the grid size
+    MAX_INVERSE_FIELDS = 266
+    MAX_FORWARD_FIELDS = 38
+
+    def test_transform_and_invariant_counts(self, monkeypatch):
+        fields = {"forward": 0, "inverse": 0}
+
+        class CountingFFT:
+            def rfftn(self, values, **kw):
+                fields["forward"] += values.size // values.shape[-1] ** 3
+                return scipy.fft.rfftn(values, **kw)
+
+            def irfftn(self, coeffs, s, **kw):
+                fields["inverse"] += coeffs.size // (s[0] * s[1]
+                                                     * (s[2] // 2 + 1))
+                return scipy.fft.irfftn(coeffs, s=s, **kw)
+
+        velocities = []
+        invariants = kinematics.invariants
+
+        def counting_invariants(u, *args, **kwargs):
+            velocities.append(u.data.tobytes())
+            return invariants(u, *args, **kwargs)
+
+        state = vx.initial_condition("random_isotropic", vx.Grid(16), seed=3,
+                                     re=100.0)
+        monkeypatch.setattr(spectral, "_fft", CountingFFT())
+        monkeypatch.setattr(kinematics, "invariants", counting_invariants)
+        reports = cli._verify_reports(state)
+
+        assert len(reports) == 23
+        assert fields["inverse"] <= self.MAX_INVERSE_FIELDS
+        assert fields["forward"] <= self.MAX_FORWARD_FIELDS
+        # the identity and the evolution suite each check one velocity
+        assert len(velocities) == len(set(velocities)) == 2
 
 
 @pytest.fixture(scope="module")

@@ -41,6 +41,16 @@ class TestFlowState:
         with pytest.raises(ValueError, match="solenoidal"):
             vx.FlowState(u.to_spectral(), nu=0.01)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_velocity(self, band8_field, bad):
+        data = band8_field.data.copy()
+        data[1, 2, 3, 4] = bad
+        u = vx.VectorField.spectral(band8_field.grid, data)
+        with pytest.raises(ValueError, match="non-finite"):
+            vx.FlowState(u, nu=0.01)
+        with pytest.raises(ValueError, match="non-finite"):
+            vx.pressure_from_velocity(u)
+
     def test_requires_spectral_representation(self, grid16):
         u = vx.initial_condition("taylor_green", grid16, re=100.0).u
         with pytest.raises(ValueError, match="spectral"):

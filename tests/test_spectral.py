@@ -250,7 +250,54 @@ class TestFieldWrappers:
 
 
 class TestWorkerConfig:
-    def test_env_override(self, monkeypatch):
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Set the affinity size and cgroup quota fft_workers sees."""
+        def set_cpus(affinity, quota):
+            monkeypatch.setattr(spx.os, "sched_getaffinity",
+                                lambda pid: set(range(affinity)))
+            monkeypatch.setattr(spx, "_cpu_quota", lambda: quota)
+            spx._cpu_limit.cache_clear()
+
+        monkeypatch.delenv("VXL_THREADS", raising=False)
+        yield set_cpus
+        spx._cpu_limit.cache_clear()
+
+    @pytest.mark.parametrize("affinity,quota,want", [
+        (1, None, 1), (8, None, 8), (8, 2.0, 2), (8, 2.5, 3), (8, 0.5, 1),
+        (2, 16.0, 2)])
+    def test_bounded_by_affinity_and_quota(self, cpus, affinity, quota, want):
+        cpus(affinity, quota)
+        assert spx.fft_workers() == want
+
+    def test_env_caps_the_limit(self, cpus, monkeypatch):
+        cpus(4, None)
+        monkeypatch.setenv("VXL_THREADS", "2")
+        assert spx.fft_workers() == 2
+        monkeypatch.setenv("VXL_THREADS", "16")
+        assert spx.fft_workers() == 4
+
+    def test_limit_is_read_once(self, cpus, monkeypatch):
+        cpus(3, None)
+        assert spx.fft_workers() == 3
+        monkeypatch.setattr(spx.os, "sched_getaffinity", lambda pid: {0})
+        assert spx.fft_workers() == 3
+
+    @pytest.mark.parametrize("text,want", [
+        ("max 100000\n", None), ("50000 100000\n", 0.5),
+        ("200000 100000\n", 2.0), ("garbled\n", None)])
+    def test_cgroup_quota_file(self, monkeypatch, tmp_path, text, want):
+        path = tmp_path / "cpu.max"
+        path.write_text(text)
+        monkeypatch.setattr(spx, "_CGROUP_CPU_MAX", str(path))
+        assert spx._cpu_quota() == want
+
+    def test_missing_cgroup_file_means_no_quota(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(spx, "_CGROUP_CPU_MAX", str(tmp_path / "none"))
+        assert spx._cpu_quota() is None
+
+    def test_env_override(self, cpus, monkeypatch):
+        cpus(4, None)
         monkeypatch.setenv("VXL_THREADS", "2")
         assert spx.fft_workers() == 2
 

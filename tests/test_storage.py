@@ -107,6 +107,15 @@ class TestBinaryLayout:
         with pytest.raises(ValueError, match="size|payload|truncat"):
             vx.load_field(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, tmp_path, grid16, bad):
+        data = rand_field(vx.ScalarField, grid16, seed=7).data.copy()
+        data[3, 2, 1] = bad
+        path = tmp_path / "nan.vxl"
+        vx.save_field(path, vx.ScalarField.physical(grid16, data))
+        with pytest.raises(ValueError, match="non-finite"):
+            vx.load_field(path)
+
     def test_rejects_bad_tag(self, tmp_path, grid16):
         f = rand_field(vx.ScalarField, grid16, seed=7)
         path = tmp_path / "tag.vxl"
