@@ -49,6 +49,7 @@ from .identities import (
 )
 from .solver import (
     CFLViolation,
+    NumericalAbort,
     FlowState,
     SolverConfig,
     DimensionlessScaling,
@@ -112,7 +113,8 @@ __all__ = [
     "ResidualReport", "residual_tr2", "residual_tr3", "residual_grad_sw",
     "residual_pressure_hessian", "gamma2_residual", "mean_identities",
     "switched_invariant_residuals",
-    "CFLViolation", "FlowState", "SolverConfig", "DimensionlessScaling",
+    "CFLViolation", "NumericalAbort", "FlowState", "SolverConfig",
+    "DimensionlessScaling",
     "EVOLUTION_CHECKS", "leray_project", "pressure_from_velocity",
     "ns_rhs", "step", "initial_condition", "nondimensionalize",
     "redimensionalize", "evolution_residual", "evolution_workspaces",

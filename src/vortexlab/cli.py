@@ -3,7 +3,8 @@
 Every run is reproducible from its flags plus seed; identical invocations
 produce bit-identical CSV/JSON artifacts.  All failure paths emit a
 machine-readable JSON object on stderr.  Exit codes: 0 pass, 1 check
-failure, 2 usage or configuration error, 3 numerical abort (CFL).
+failure, 2 usage or configuration error, 3 numerical abort (a CFL
+violation, or a step that made the state non-finite).
 
 A flat key=value file can be passed via --config; explicit flags override
 file entries.  Keys use the long flag names (dashes and underscores are
@@ -59,6 +60,7 @@ from .solver import (
     DimensionlessScaling,
     EVOLUTION_CHECKS,
     FlowState,
+    NumericalAbort,
     SolverConfig,
     evolution_residual,
     evolution_workspaces,
@@ -620,6 +622,9 @@ def main(argv=None) -> int:
     except CFLViolation as exc:
         _emit_error("cfl", str(exc), t=exc.t, dt=exc.dt, bound=exc.bound,
                     max_speed=exc.max_speed)
+        return 3
+    except NumericalAbort as exc:
+        _emit_error("numerical", str(exc), t=exc.t)
         return 3
     except ValueError as exc:
         _emit_error("config", str(exc))

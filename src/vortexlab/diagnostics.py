@@ -214,10 +214,13 @@ def lq_inequality_check(state: FlowState, q: float) -> LqReport:
     if q < 1:
         raise ValueError(f"q must be at least 1, got {q}")
     f, fd = evolution_workspaces(state)
-    inv = f.invariants
-    m = inv.enstrophy.data + OMEGA_FLOOR
+    # the two invariants read here, as `invariants` forms them, without
+    # the gradient fields it would transform as well
+    w, s = f.w, f.s
+    m = np.einsum("i...,i...->...", w, w) + OMEGA_FLOOR
+    wsw = np.einsum("i...,ij...,j...->...", w, s, w)
     return _lq_terms(float(q), state.effective_viscosity, state.grid, m,
-                     inv.omega_S_omega.data, f.w, fd.w)
+                     wsw, w, fd.w)
 
 
 def qr_invariants(state: FlowState, bins: int = 32) -> QRInvariants:

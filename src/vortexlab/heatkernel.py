@@ -11,8 +11,9 @@ beta = +sigma product.
 
 This module evaluates the kernels and envelopes in overflow-safe combined
 exponent form, cross-checks them by adaptive quadrature and by Monte
-Carlo sampling of the associated diffusion, and assembles the short-time
-propagator
+Carlo sampling of the associated diffusion (endpoints drawn exactly from
+their Gaussian law for a constant vector drift, by Euler-Maruyama paths
+for a drift callable), and assembles the short-time propagator
 
     e^{-3 sigma^2 delta / 2} (theta + delta Gamma theta)
         + sigma * (integral of theta over the delta-ball)
@@ -274,6 +275,10 @@ def kernel_bounds_check(sigma: float, delta: float,
 
 @dataclass(frozen=True)
 class MonteCarloReport:
+    """Outcome of one Monte Carlo check; `sampler` names how the endpoints
+    were drawn ("exact" or "euler-maruyama") and `steps` the number of
+    time steps per path."""
+
     samples: int
     cells: int
     violating_cells: int
@@ -281,6 +286,8 @@ class MonteCarloReport:
     chi2_statistic: Optional[float]
     chi2_p_value: Optional[float]
     chi2_dof: Optional[int]
+    sampler: str
+    steps: int
 
     @property
     def violation_fraction(self) -> float:
@@ -293,14 +300,22 @@ class MonteCarloReport:
                 "constant_drift": self.constant_drift,
                 "chi2_statistic": self.chi2_statistic,
                 "chi2_p_value": self.chi2_p_value,
-                "chi2_dof": self.chi2_dof}
+                "chi2_dof": self.chi2_dof,
+                "sampler": self.sampler, "steps": self.steps}
 
 
 DriftLike = Union[Callable[[np.ndarray], np.ndarray], np.ndarray, tuple, list]
 
+_EM_STEPS = 200
+
 
 def _normalize_drift(drift_field: DriftLike):
-    """Return (callable on (N,3) points, constant vector or None)."""
+    """Return (callable on (N,3) points or None, constant vector or None).
+
+    A vector drift gives no callable.  A callable whose values agree on
+    the 27 probe points {-1, 0, 1}^3 reports that value as its constant;
+    it may still vary elsewhere.
+    """
     if callable(drift_field):
         probe = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)))
         vals = np.asarray(drift_field(probe), dtype=float)
@@ -311,12 +326,30 @@ def _normalize_drift(drift_field: DriftLike):
         if np.abs(vals - vals[0]).max() <= 1e-12:
             const = vals[0].copy()
         return drift_field, const
-    const = _check_unit_drift(drift_field)
+    return None, _check_unit_drift(drift_field)
 
-    def fn(pts: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(const, pts.shape)
 
-    return fn, const
+def _euler_maruyama(fn, x: np.ndarray, delta: float, sigma: float,
+                    rng: np.random.Generator) -> None:
+    """Advance the paths x (one per row) in place over time delta by
+    _EM_STEPS steps."""
+    h = delta / _EM_STEPS
+    noise_scale = math.sqrt(h) / sigma
+    z = np.empty_like(x)
+    dx = np.empty_like(x)
+    for _ in range(_EM_STEPS):
+        drift = np.asarray(fn(x), dtype=float)
+        top = np.abs(drift).max()
+        if top > 1.0 + 1e-9:
+            raise ValueError("drift exceeded the unit bound during "
+                             f"sampling: max |phi_i| = {top}")
+        # x + drift h + noise_scale Z, in that order; the drift array
+        # belongs to the callable and is left as returned
+        np.multiply(drift, h, out=dx)
+        x += dx
+        rng.standard_normal(out=z)
+        z *= noise_scale
+        x += z
 
 
 def _cell_extrema(refined: np.ndarray, bins: int):
@@ -340,15 +373,22 @@ def monte_carlo_kernel_check(sigma: float, delta: float,
     and compare the empirical density of X_delta with the kernel
     envelopes.
 
-    Euler-Maruyama with step delta/200; the drift bound |phi_i| <= 1 is
-    enforced on every evaluation.  Cells of a (bins)^3 histogram around
-    the drifted center are flagged when the density estimate exceeds the
-    upper envelope or undercuts the lower one by more than three standard
-    errors; the expected count of flagged cells is about zero.  When the
-    drift is constant the exact product-Gaussian law is known and a
-    chi-squared test against it is run as well (cells with expected count
-    below 5 are pooled into a rest bucket together with the out-of-window
-    mass).
+    A drift given as a vector is constant, and with additive noise the
+    endpoint law is then exactly N(xi + phi delta, delta/sigma^2 I): each
+    endpoint is drawn at once as xi + phi delta + (sqrt(delta)/sigma) Z.
+    A drift given as a callable is integrated by Euler-Maruyama with step
+    delta/200, even when it is constant on the probe points, since it may
+    vary elsewhere; the bound |phi_i| <= 1 is enforced on every
+    evaluation.  Each batch of batch_size paths draws from its own child
+    of SeedSequence(seed), so a seed fixes the report.
+
+    Cells of a (bins)^3 histogram around the drifted center are flagged
+    when the density estimate exceeds the upper envelope or undercuts the
+    lower one by more than three standard errors; the expected count of
+    flagged cells is about zero.  When the drift is constant the exact
+    product-Gaussian law is known and a chi-squared test against it is run
+    as well (cells with expected count below 5 are pooled into a rest
+    bucket together with the out-of-window mass).
     """
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -361,29 +401,23 @@ def monte_carlo_kernel_check(sigma: float, delta: float,
     fn, const = _normalize_drift(drift_field)
     xi = np.asarray(xi, dtype=float).reshape(3)
 
-    steps = 200
-    h = delta / steps
-    noise_scale = math.sqrt(h) / sigma
+    s = math.sqrt(delta) / sigma
     children = np.random.SeedSequence(seed).spawn(
         (samples + batch_size - 1) // batch_size)
     pts = np.empty((samples, 3))
-    done = 0
-    for child in children:
+    for k, child in enumerate(children):
         rng = np.random.default_rng(child)
-        m = min(batch_size, samples - done)
-        x = np.tile(xi, (m, 1))
-        for _ in range(steps):
-            drift = np.asarray(fn(x), dtype=float)
-            if np.abs(drift).max() > 1.0 + 1e-9:
-                raise ValueError("drift exceeded the unit bound during "
-                                 f"sampling: max |phi_i| = {np.abs(drift).max()}")
-            x = x + drift * h + noise_scale * rng.standard_normal((m, 3))
-        pts[done:done + m] = x
-        done += m
+        x = pts[k * batch_size:(k + 1) * batch_size]
+        if fn is None:
+            rng.standard_normal(out=x)
+            x *= s
+            x += xi + const * delta
+        else:
+            x[:] = xi
+            _euler_maruyama(fn, x, delta, sigma, rng)
 
     center = xi + (const if const is not None else np.asarray(
         fn(xi[np.newaxis]), dtype=float)[0]) * delta
-    s = math.sqrt(delta) / sigma
     edges = [center[i] + s * np.linspace(-4.0, 4.0, bins + 1)
              for i in range(3)]
     counts, _ = np.histogramdd(pts, bins=edges)
@@ -427,7 +461,9 @@ def monte_carlo_kernel_check(sigma: float, delta: float,
     return MonteCarloReport(
         samples=samples, cells=int(counts.size), violating_cells=violating,
         constant_drift=const is not None, chi2_statistic=chi2_stat,
-        chi2_p_value=chi2_p, chi2_dof=chi2_dof)
+        chi2_p_value=chi2_p, chi2_dof=chi2_dof,
+        sampler="exact" if fn is None else "euler-maruyama",
+        steps=1 if fn is None else _EM_STEPS)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from .spectral import (
 
 __all__ = [
     "CFLViolation",
+    "NumericalAbort",
     "FlowState",
     "SolverConfig",
     "DimensionlessScaling",
@@ -75,6 +76,15 @@ class CFLViolation(RuntimeError):
             f"CFL violation at t={t:.6g}: dt={dt:.6g} exceeds bound "
             f"{bound:.6g} (max |u| = {max_speed:.6g})"
         )
+
+
+class NumericalAbort(RuntimeError):
+    """Raised when a step produces a state that FlowState refuses, such as
+    one with non-finite values; t is the time that state would have had."""
+
+    def __init__(self, message: str, t: float):
+        self.t = t
+        super().__init__(f"numerical abort at t={t:.6g}: {message}")
 
 
 @dataclass(frozen=True)
@@ -250,8 +260,12 @@ def step(state: FlowState, config: SolverConfig) -> FlowState:
     n3 = _nonlinear(_stage(grid, e_half * uh + (0.5 * h) * n2))
     n4 = _nonlinear(_stage(grid, e_full * uh + h * (e_half * n3)))
     new = e_full * uh + (h / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
-    return FlowState(VectorField(grid, new, "spectral"),
-                     t=state.t + h, nu=state.nu, re=state.re)
+    try:
+        return FlowState(VectorField(grid, new, "spectral"),
+                         t=state.t + h, nu=state.nu, re=state.re)
+    except ValueError as exc:
+        # the input state was valid, so the step itself broke it
+        raise NumericalAbort(str(exc), state.t + h) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,9 @@ import json
 
 import numpy as np
 import pytest
-import scipy.fft
 
 import vortexlab as vx
-from vortexlab import cli, kinematics, spectral
+from vortexlab import cli, kinematics, solver
 from vortexlab.cli import _read_config_file, main
 from vortexlab.storage import save_field, save_state
 
@@ -182,6 +181,22 @@ class TestSimulate:
         assert "non-finite" in stderr_payload(err)["message"]
         assert not (out / "diagnostics.csv").exists()
 
+    def test_non_finite_step_is_a_numerical_abort(self, capsys, tmp_path,
+                                                  monkeypatch):
+        def overflowing(grid, nu, h):
+            inf = np.full(grid.k2.shape, np.inf)
+            return inf, inf
+
+        monkeypatch.setattr(solver, "_viscous_factors", overflowing)
+        with np.errstate(all="ignore"):
+            code, _, err = run_cli(capsys, "simulate", *SIM_FLAGS,
+                                   "--out", str(tmp_path / "r"))
+        assert code == 3
+        payload = stderr_payload(err)
+        assert payload["error"] == "numerical"
+        assert "non-finite" in payload["message"]
+        assert payload["t"] == pytest.approx(0.01, rel=1e-12)
+
     def test_cfl_abort(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--n", "16", "--nu",
                                "1e-4", "--dt", "0.3", "--t-end", "0.6",
@@ -257,19 +272,7 @@ class TestVerifyCost:
     MAX_INVERSE_FIELDS = 266
     MAX_FORWARD_FIELDS = 38
 
-    def test_transform_and_invariant_counts(self, monkeypatch):
-        fields = {"forward": 0, "inverse": 0}
-
-        class CountingFFT:
-            def rfftn(self, values, **kw):
-                fields["forward"] += values.size // values.shape[-1] ** 3
-                return scipy.fft.rfftn(values, **kw)
-
-            def irfftn(self, coeffs, s, **kw):
-                fields["inverse"] += coeffs.size // (s[0] * s[1]
-                                                     * (s[2] // 2 + 1))
-                return scipy.fft.irfftn(coeffs, s=s, **kw)
-
+    def test_transform_and_invariant_counts(self, monkeypatch, fft_fields):
         velocities = []
         invariants = kinematics.invariants
 
@@ -279,13 +282,13 @@ class TestVerifyCost:
 
         state = vx.initial_condition("random_isotropic", vx.Grid(16), seed=3,
                                      re=100.0)
-        monkeypatch.setattr(spectral, "_fft", CountingFFT())
+        fft_fields.update(forward=0, inverse=0)
         monkeypatch.setattr(kinematics, "invariants", counting_invariants)
         reports = cli._verify_reports(state)
 
         assert len(reports) == 23
-        assert fields["inverse"] <= self.MAX_INVERSE_FIELDS
-        assert fields["forward"] <= self.MAX_FORWARD_FIELDS
+        assert fft_fields["inverse"] <= self.MAX_INVERSE_FIELDS
+        assert fft_fields["forward"] <= self.MAX_FORWARD_FIELDS
         # the identity and the evolution suite each check one velocity
         assert len(velocities) == len(set(velocities)) == 2
 

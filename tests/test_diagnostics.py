@@ -137,6 +137,14 @@ class TestLqInequality:
                     assert rep.slack >= -1e-9 * rep.scale, (st.t, q, rep)
             st = vx.step(st, cfg)
 
+    def test_transforms_only_the_fields_it_reads(self, fft_fields):
+        # |omega|^2 and omega . S omega, not the invariants' gradient fields
+        st = vx.initial_condition("random_isotropic", vx.Grid(16), seed=3,
+                                  re=100.0)
+        fft_fields.update(forward=0, inverse=0)
+        vx.lq_inequality_check(st, 2.0)
+        assert fft_fields["inverse"] <= 21
+
     def test_as_dict_round(self, tg16):
         d = vx.lq_inequality_check(tg16, 2.0).as_dict()
         assert set(d) == {"q", "derivative", "gradient_term",

@@ -433,3 +433,79 @@ class TestMonteCarlo:
         a = hk.monte_carlo_kernel_check(3.0, 0.02, (1.0, 0.0, -1.0), **kw)
         b = hk.monte_carlo_kernel_check(3.0, 0.02, (1.0, 0.0, -1.0), **kw)
         assert a == b
+
+
+class TestMonteCarloSampler:
+    """A vector drift is drawn exactly; a callable always runs the loop."""
+
+    SIGMA, DELTA = 3.0, 0.02
+
+    @staticmethod
+    def counting(fn):
+        calls = []
+
+        def wrapped(points):
+            calls.append(len(points))
+            return fn(points)
+
+        return wrapped, calls
+
+    def test_constant_callable_runs_the_loop_against_the_exact_law(self):
+        const = np.array([0.5, -0.3, 0.0])
+        drift, calls = self.counting(
+            lambda p: np.broadcast_to(const, p.shape))
+        rep = hk.monte_carlo_kernel_check(self.SIGMA, self.DELTA, drift,
+                                          samples=20000, seed=3)
+        assert rep.sampler == "euler-maruyama" and rep.steps == 200
+        # one probe call, then 200 steps for each of the two batches; the
+        # drifted center comes from the probe value
+        assert len(calls) == 2 * 200 + 1
+        assert rep.constant_drift
+        assert rep.violating_cells == 0
+        assert rep.chi2_p_value > 1e-3
+
+    def test_callable_constant_on_probes_only_runs_the_loop(self):
+        # zero on every probe point {-1, 0, 1}^3, not elsewhere
+        drift, calls = self.counting(lambda p: 0.9 * np.sin(np.pi * p))
+        rep = hk.monte_carlo_kernel_check(self.SIGMA, self.DELTA, drift,
+                                          samples=2000, seed=0)
+        assert rep.sampler == "euler-maruyama"
+        assert len(calls) > 2
+
+    def test_vector_drift_is_drawn_exactly(self, monkeypatch):
+        def no_loop(*args, **kwargs):
+            raise AssertionError("the step loop ran for a vector drift")
+
+        monkeypatch.setattr(hk, "_euler_maruyama", no_loop)
+        rep = hk.monte_carlo_kernel_check(self.SIGMA, self.DELTA,
+                                          np.array([1.0, 0.0, -1.0]),
+                                          samples=5000, seed=2)
+        assert rep.sampler == "exact" and rep.steps == 1
+        assert rep.as_dict()["sampler"] == "exact"
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_exact_draw_has_the_drifted_law(self, monkeypatch, seed):
+        xi = np.array([0.2, -0.1, 0.3])
+        drift = np.array([1.0, 0.0, -1.0])
+        samples = 20000
+        drawn = []
+        histogramdd = np.histogramdd
+
+        def capture(pts, *args, **kwargs):
+            drawn.append(np.array(pts))
+            return histogramdd(pts, *args, **kwargs)
+
+        monkeypatch.setattr(np, "histogramdd", capture)
+        rep = hk.monte_carlo_kernel_check(self.SIGMA, self.DELTA, drift,
+                                          samples=samples, seed=seed, xi=xi)
+        (pts,) = drawn
+        se = math.sqrt(self.DELTA) / self.SIGMA / math.sqrt(samples)
+        assert np.all(np.abs(pts.mean(axis=0) - (xi + drift * self.DELTA))
+                      < 5.0 * se)
+        assert rep.violating_cells == 0
+        assert rep.chi2_p_value > 1e-3
+
+    def test_superunit_vector_drift_refused(self):
+        with pytest.raises(ValueError, match=r"\|phi_i\| <= 1"):
+            hk.monte_carlo_kernel_check(self.SIGMA, self.DELTA,
+                                        (0.0, 1.5, 0.0), samples=64)
