@@ -18,7 +18,9 @@ import dataclasses
 import json
 import math
 import os
+import socket
 import sys
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -201,35 +203,6 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-# coercions for --config file entries, keyed by canonical name
-_CONFIG_TYPES = {
-    "n": int,
-    "box_length": float,
-    "nu": float,
-    "re": float,
-    "dt": float,
-    "t_end": float,
-    "output_interval": float,
-    "cfl_constant": float,
-    "out": str,
-    "seed": int,
-    "ic": str,
-    "q_list": _parse_floats,
-    "k0": float,
-    "energy": float,
-    "abc": _parse_floats,
-    "save_snapshots": _parse_bool,
-    "snapshot": str,
-    "run": str,
-    "sigma": float,
-    "delta": float,
-    "u": float,
-    "l": float,
-    "samples": int,
-    "timescale": _parse_bool,
-}
-
-
 def _read_config_file(path: str) -> dict:
     entries = {}
     with open(path, "r") as fh:
@@ -258,20 +231,10 @@ def _merged(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    merged = _merged(args)
+def _build_config(command: str, options: dict) -> RunConfig:
     fields = {f.name for f in dataclasses.fields(RunConfig)}
-    kwargs = {k: v for k, v in merged.items() if k in fields}
-    if "q_list" in kwargs and isinstance(kwargs["q_list"], str):
-        kwargs["q_list"] = _parse_floats(kwargs["q_list"])
-    if "abc" in kwargs and isinstance(kwargs["abc"], str):
-        kwargs["abc"] = _parse_floats(kwargs["abc"])
-    return RunConfig(command=args.command, **kwargs)
-
-
-def _extra(args: argparse.Namespace, key: str, default=None):
-    merged = _merged(args)
-    return merged.get(key, default)
+    return RunConfig(command=command,
+                     **{k: v for k, v in options.items() if k in fields})
 
 
 def build_parser() -> _Parser:
@@ -331,16 +294,64 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _config_types(parser: _Parser) -> dict:
+    """Coercion of each flag's value in a --config file, keyed by its dest:
+    the flag's own type, _parse_bool for a switch, else str."""
+    types = {}
+    for action in parser._actions:
+        if not isinstance(action, argparse._SubParsersAction):
+            continue
+        for sub in action.choices.values():
+            for flag in sub._actions:
+                if flag.option_strings and flag.dest not in ("help", "config"):
+                    switch = flag.nargs == 0
+                    types[flag.dest] = (_parse_bool if switch
+                                        else flag.type or str)
+    return types
+
+
+def _process_running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)  # signal 0 only checks that pid exists
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        pass  # it exists, owned by another user
+    return True
+
+
+def _lock_refusal(lock: Path) -> str:
+    """Why the directory of an existing lock is refused.  A lock whose
+    process no longer runs on this host is called stale, but it is left
+    for the user to remove, as is every other lock."""
+    try:
+        owner = json.loads(lock.read_text())
+        pid, host, started = owner["pid"], owner["host"], owner["started"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return (f"output directory {lock.parent} is in use by another run "
+                f"(remove {lock} if stale)")
+    if (type(pid) is int and pid > 0 and host == socket.gethostname()
+            and not _process_running(pid)):
+        return (f"output directory {lock.parent} has a stale lock: process "
+                f"{pid} on {host}, started {started}, is no longer running "
+                f"(remove {lock} to reuse the directory)")
+    return (f"output directory {lock.parent} is in use by process {pid} on "
+            f"{host}, started {started} (remove {lock} if stale)")
+
+
 @contextmanager
 def _locked(outdir: Path):
+    """Hold outdir's lock file, which names its owner: pid, host and start
+    time."""
     lock = outdir / ".vxl-lock"
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise ValueError(
-            f"output directory {outdir} is in use by another run "
-            f"(remove {lock} if stale)")
-    os.close(fd)
+        raise ValueError(_lock_refusal(lock)) from None
+    with os.fdopen(fd, "w") as fh:
+        json.dump({"pid": os.getpid(), "host": socket.gethostname(),
+                   "started": time.strftime("%Y-%m-%dT%H:%M:%SZ",
+                                            time.gmtime())}, fh)
     try:
         yield
     finally:
@@ -361,7 +372,15 @@ def _dump(payload: dict, path: Optional[Path]) -> None:
 # subcommands
 
 
-def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _output_schedule(dt: float, t_end: float,
+                     output_interval: float) -> tuple[int, int]:
+    """(steps per output, outputs after t = 0) of a run: it records
+    n_outputs + 1 samples, the first at t = 0."""
+    steps_per_output = max(1, round(output_interval / dt))
+    return steps_per_output, round(t_end / (steps_per_output * dt))
+
+
+def cmd_simulate(cfg: RunConfig, options: dict) -> int:
     cfg.require_viscosity()
     if cfg.out is None:
         raise ValueError("simulate requires --out")
@@ -374,8 +393,8 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
         solver_config = SolverConfig(dt=cfg.dt, t_end=cfg.t_end,
                                      output_interval=cfg.output_interval,
                                      cfl_constant=cfg.cfl_constant)
-        steps_per_output = max(1, round(cfg.output_interval / cfg.dt))
-        n_outputs = round(cfg.t_end / (steps_per_output * cfg.dt))
+        steps_per_output, n_outputs = _output_schedule(
+            cfg.dt, cfg.t_end, cfg.output_interval)
 
         manifest = {
             "n": cfg.n, "box_length": cfg.box_length,
@@ -397,6 +416,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
             save_state(outdir / "state_0000.vxl", state)
         for j in range(1, n_outputs + 1):
             for _ in range(steps_per_output):
+                # via this module's name, so a wrapper on cli.step sees each step
                 state = step(state, solver_config)
             records.append(diagnose(state, cfg.q_list,
                                     include_histogram=j == n_outputs))
@@ -442,8 +462,8 @@ def _verify_reports(state: FlowState):
     return reports
 
 
-def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
-    snapshot = _extra(args, "snapshot")
+def cmd_verify(cfg: RunConfig, options: dict) -> int:
+    snapshot = options.get("snapshot")
     if snapshot is not None:
         state = load_state(snapshot)
     else:
@@ -473,13 +493,24 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0 if not failed else 1
 
 
-def cmd_stats(cfg: RunConfig, args: argparse.Namespace) -> int:
-    run_dir = _extra(args, "run", cfg.out)
+def cmd_stats(cfg: RunConfig, options: dict) -> int:
+    run_dir = options.get("run", cfg.out)
     if run_dir is None:
         raise ValueError("stats requires --run pointing at a run directory")
     run = Path(run_dir)
     manifest = read_manifest(run / "manifest.json")
     series = read_series_csv(run / "diagnostics.csv", manifest)
+    try:
+        _, n_outputs = _output_schedule(manifest["dt"], manifest["t_end"],
+                                        manifest["output_interval"])
+    except (KeyError, TypeError):
+        raise ValueError(f"{run / 'manifest.json'} does not give dt, t_end "
+                         f"and output_interval") from None
+    if len(series) != n_outputs + 1:
+        raise ValueError(
+            f"{run / 'diagnostics.csv'} has {len(series)} records, but the "
+            f"run's manifest schedules {n_outputs + 1}: the run is truncated "
+            f"or the file is not its own")
 
     entropy = entropy_monotonicity_check(series)
     lq_entries = []
@@ -577,12 +608,12 @@ def _kernel_suite(sigma: float, delta: float, samples: int,
     }
 
 
-def cmd_kernel(cfg: RunConfig, args: argparse.Namespace) -> int:
-    if _extra(args, "timescale"):
+def cmd_kernel(cfg: RunConfig, options: dict) -> int:
+    if options.get("timescale"):
         if cfg.nu is None:
             raise ValueError("timescale mode requires --nu")
-        U = _extra(args, "u", 1.0)
-        L = _extra(args, "l", 1.0)
+        U = options.get("u", 1.0)
+        L = options.get("l", 1.0)
         report = vorticity_timescale(cfg.nu, U)
         scaling = DimensionlessScaling(L=L, U=U, nu=cfg.nu)
         payload = {
@@ -594,20 +625,24 @@ def cmd_kernel(cfg: RunConfig, args: argparse.Namespace) -> int:
         _dump(payload, Path(cfg.out) / "timescale.json" if cfg.out else None)
         return 0
 
-    sigma = _extra(args, "sigma")
+    sigma = options.get("sigma")
     if sigma is None:
         if cfg.re is None:
             raise ValueError("kernel checks require --sigma or --re")
         sigma = math.sqrt(cfg.re / 2.0)
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    delta = _extra(args, "delta", 0.01)
+    delta = options.get("delta", 0.01)
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    samples = _extra(args, "samples", 100_000)
+    samples = options.get("samples", 100_000)
     payload = _kernel_suite(sigma, delta, samples, cfg.seed)
     _dump(payload, Path(cfg.out) / "kernel_report.json" if cfg.out else None)
     return 0 if payload["passed"] else 1
+
+
+# coercions for --config file entries: one per flag of build_parser
+_CONFIG_TYPES = _config_types(build_parser())
 
 
 def main(argv=None) -> int:
@@ -617,8 +652,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        cfg = _build_config(args)
-        return args.func(cfg, args)
+        options = _merged(args)
+        cfg = _build_config(args.command, options)
+        return args.func(cfg, options)
     except CFLViolation as exc:
         _emit_error("cfl", str(exc), t=exc.t, dt=exc.dt, bound=exc.bound,
                     max_speed=exc.max_speed)

@@ -86,18 +86,6 @@ def _dot(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("i...,i...->...", v, w)
 
 
-def _advective_flux(ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
-    """The two terms of div(u . grad W), W = (u . grad) u, and Q = div W:
-    (d_i u_j)(d_j W_i) and u . grad Q.  The flux of tr A^3 and the second
-    bracket of the tr S^2 divergence form are built from these and
-    Q div u, so no cubic product is ever transformed."""
-    dw = physical_gradient(ws.grid, ws.advection_h)
-    first = np.einsum("ji...,ij...->...", ws.a, dw)
-    grad_q = physical_gradient(ws.grid,
-                               spec_divergence(ws.grid, ws.advection_h))
-    return first, _dot(ws.up, grad_q)
-
-
 def _pressure_flux(ws: Workspace, ph: np.ndarray,
                    hess: np.ndarray) -> np.ndarray:
     """div(u . grad(grad p)) - div(u lap p) by the product rule:
@@ -140,7 +128,7 @@ def residual_tr3(u: VectorField, flux_coefficient: float = 1.5,
     ws = Workspace.of(u, workspace)
     tr_a3 = np.einsum("ij...,jk...,ki...->...", ws.a, ws.a, ws.a)
     # the second flux term expands to u . grad Q + Q div u with Q = div W
-    first, u_grad_q = _advective_flux(ws)
+    first, u_grad_q = ws.advective_flux
     divergence_total = (
         first + u_grad_q
         - flux_coefficient * (u_grad_q + ws.div_advection * ws.divu)

@@ -208,6 +208,23 @@ class Workspace:
                            spec_divergence(self.grid, self.advection_h))
 
     @cached_property
+    def advective_flux(self) -> tuple[np.ndarray, np.ndarray]:
+        """The two terms of div(u . grad W), W = (u . grad) u, and Q = div W:
+        (d_i u_j)(d_j W_i) and u . grad Q.  The flux of tr A^3 and the
+        second bracket of the tr S^2 divergence form are built from these
+        and Q div u, so no cubic product is ever transformed."""
+        g = self.grid
+        first = np.einsum("ji...,ij...->...", self.a,
+                          physical_gradient(g, self.advection_h))
+        grad_q = physical_gradient(g, spec_divergence(g, self.advection_h))
+        return first, np.einsum("i...,i...->...", self.up, grad_q)
+
+    @cached_property
+    def lap_s(self) -> np.ndarray:
+        g = self.grid
+        return unpack_symmetric(to_physical(g, self.sh * (-g.k2)), axis=0)
+
+    @cached_property
     def lamb_h(self) -> np.ndarray:
         """u x omega, sampled from u and omega."""
         return to_spectral(self.grid, _lamb_vector(self.up, self.w))

@@ -25,7 +25,6 @@ import numpy as np
 
 from .identities import (
     ResidualReport,
-    _advective_flux,
     _dot,
     _pressure_flux,
     _report,
@@ -42,7 +41,6 @@ from .spectral import (
     spectral_mean_square,
     to_physical,
     to_spectral,
-    unpack_symmetric,
 )
 
 __all__ = [
@@ -396,10 +394,6 @@ def _lstar_scalar(nu: float, f: Workspace, q: np.ndarray) -> np.ndarray:
             - _dot(f.up, physical_gradient(g, qh)))
 
 
-def _lap_s(f: Workspace) -> np.ndarray:
-    return unpack_symmetric(to_physical(f.grid, f.sh * (-f.grid.k2)), axis=0)
-
-
 def _check_vorticity(nu, f, fd):
     lap_w = to_physical(f.grid, f.wh * (-f.grid.k2))
     advect_w = np.einsum("j...,ij...->i...", f.up, f.dw)
@@ -435,7 +429,7 @@ def _check_enstrophy(nu, f, fd):
 
 def _check_strain(nu, f, fd):
     advect_s = np.einsum("k...,ijk...->ij...", f.up, f.ds)
-    lhs = fd.s - nu * _lap_s(f) + advect_s
+    lhs = fd.s - nu * f.lap_s + advect_s
 
     s2 = np.einsum("ik...,kj...->ij...", f.s, f.s)
     eye = np.eye(3).reshape(3, 3, 1, 1, 1)
@@ -459,7 +453,7 @@ def _check_trS2(nu, f, fd):
     # divergence form, assembled from the product-rule expansions of the
     # identity checks so no sampled product is differentiated spectrally
     pressure_flux = _pressure_flux(f, f.ph, f.hess_p)
-    first, u_grad_q = _advective_flux(f)
+    first, u_grad_q = f.advective_flux
     viscous_flux = _viscous_flux(f)
 
     def rhs_divform(c: float) -> np.ndarray:
@@ -487,7 +481,7 @@ def _check_trS3(nu, f, fd):
     # lap and advection of trS^3 via pointwise contractions: the cubic
     # itself is never transformed
     s_ds_ds = np.einsum("ij...,jkl...,kil...->...", s, ds, ds)
-    lap_q = 3.0 * np.einsum("ij...,ij...->...", s2, _lap_s(f)) + 6.0 * s_ds_ds
+    lap_q = 3.0 * np.einsum("ij...,ij...->...", s2, f.lap_s) + 6.0 * s_ds_ds
     advect_q = 3.0 * np.einsum("l...,ij...,ijl...->...", f.up, s2, ds)
     lhs = 3.0 * np.einsum("ij...,ij...->...", s2, fd.s) \
         - nu * lap_q + advect_q

@@ -6,8 +6,9 @@ nu on the enstrophy term; the balance only closes with 2 nu, so that
 check fails by design and stays red.  The two companion tests after it
 pin the laws that do hold, at the same tolerances.
 
-The two n=64 decaying runs behind numbers 04-06 are produced once by a
-module fixture and take a few minutes; everything else is desk-scale.
+The two n=64 decaying runs behind numbers 04-06 are made once by a module
+fixture through `simulate` and take a few minutes; everything else is
+desk-scale.
 """
 
 import json
@@ -33,31 +34,28 @@ def _verdict(capsys, num: int, ok: bool, detail: str = "") -> None:
 
 
 @pytest.fixture(scope="module")
-def long_runs():
-    """Two decaying runs: Taylor-Green and random-isotropic, n=64, Re=100,
-    dt=1e-3 over t in [0, 2], sampled every 0.05."""
-    cfg = vx.SolverConfig(dt=1e-3, t_end=2.0, output_interval=0.05)
-    steps_per_output = 50
-    n_outputs = 40
-    grid = vx.Grid(64)
+def long_runs(tmp_path_factory):
+    """Two decaying runs of `simulate`: Taylor-Green and random-isotropic,
+    n=64, Re=100, dt=1e-3 over t in [0, 2], sampled every 0.05.  The
+    records are read back from the run's CSV, whose shortest round-trip
+    floats give back exactly what diagnose returned."""
+    flags = ["--n", "64", "--re", "100", "--dt", "1e-3", "--t-end", "2",
+             "--output-interval", "0.05", "--q-list", "1,2,3"]
+    root = tmp_path_factory.mktemp("long_runs")
     out = {}
-    for name, kind, params, seed in [
-            ("taylor_green", "taylor_green", None, None),
-            ("random", "random_isotropic", {"k0": 4.0, "energy": 0.5}, 7)]:
+    for name, ic_flags in [
+            ("taylor_green", ["--ic", "taylor-green"]),
+            ("random", ["--ic", "random", "--k0", "4", "--energy", "0.5",
+                        "--seed", "7"])]:
+        run_dir = root / name
         start = time.perf_counter()
-        state = vx.initial_condition(kind, grid, params=params, seed=seed,
-                                     re=100.0)
-        records = [vx.diagnose(state, (1.0, 2.0, 3.0),
-                               include_histogram=False)]
-        for _ in range(n_outputs):
-            for _ in range(steps_per_output):
-                state = vx.step(state, cfg)
-            records.append(vx.diagnose(state, (1.0, 2.0, 3.0),
-                                       include_histogram=False))
+        code = main(["simulate", *flags, *ic_flags, "--out", str(run_dir)])
         seconds = time.perf_counter() - start
+        assert code == 0
+        manifest = vx.read_manifest(run_dir / "manifest.json")
         out[name] = SimpleNamespace(
-            series=vx.RunSeries(tuple(records), {"ic": name}),
-            seconds=seconds, nu=1.0 / 100.0)
+            series=vx.read_series_csv(run_dir / "diagnostics.csv", manifest),
+            seconds=seconds, nu=1.0 / manifest["Re"])
     return out
 
 

@@ -5,7 +5,12 @@ object on stderr; artifact layout and determinism are checked on real
 (tiny) runs.
 """
 
+import argparse
 import json
+import os
+import socket
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -105,6 +110,28 @@ class TestConfigFile:
         assert code == 0
         assert json.loads(out)["t_scale"] == pytest.approx(3.0e-7, rel=1e-12)
 
+    def test_every_flag_is_a_config_key(self, tmp_path):
+        # each flag, given as a file entry, coerces to what the flag gives
+        parser = cli.build_parser()
+        samples = {int: "16", float: "0.5", cli._parse_floats: "1,2,3"}
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        path = tmp_path / "one.cfg"
+        for command, sub in subparsers.choices.items():
+            for flag in sub._actions:
+                if not flag.option_strings or flag.dest in ("help", "config"):
+                    continue
+                name = flag.option_strings[0]
+                if flag.nargs == 0:
+                    text, argv = "true", [name]
+                else:
+                    text = (flag.choices[0] if flag.choices
+                            else samples.get(flag.type, "x"))
+                    argv = [name, text]
+                path.write_text(f"{name[2:]} = {text}\n")
+                want = getattr(parser.parse_args([command, *argv]), flag.dest)
+                assert _read_config_file(str(path)) == {flag.dest: want}, name
+
 
 class TestSimulate:
     def test_requires_out(self, capsys):
@@ -169,6 +196,53 @@ class TestSimulate:
                                "--out", str(out))
         assert code == 2
         assert "in use" in stderr_payload(err)["message"]
+
+    def test_lock_names_its_owner(self, capsys, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        owners = []
+        real_step = cli.step
+
+        def peeking_step(state, config):
+            owners.append(json.loads((out / ".vxl-lock").read_text()))
+            return real_step(state, config)
+
+        monkeypatch.setattr(cli, "step", peeking_step)
+        code, _, _ = run_cli(capsys, "simulate", *SIM_FLAGS, "--out", str(out))
+        assert code == 0
+        assert owners[0]["pid"] == os.getpid()
+        assert owners[0]["host"] == socket.gethostname()
+        assert owners[0]["started"].endswith("Z")
+        assert not (out / ".vxl-lock").exists()
+
+    def test_live_owner_blocks_use(self, capsys, tmp_path):
+        out = tmp_path / "busy"
+        out.mkdir()
+        (out / ".vxl-lock").write_text(json.dumps(
+            {"pid": os.getpid(), "host": socket.gethostname(),
+             "started": "2020-01-01T00:00:00Z"}))
+        code, _, err = run_cli(capsys, "simulate", *SIM_FLAGS,
+                               "--out", str(out))
+        assert code == 2
+        message = stderr_payload(err)["message"]
+        assert "in use" in message and str(os.getpid()) in message
+
+    def test_stale_lock_is_refused_and_named(self, capsys, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", ""])
+        child.wait()
+        out = tmp_path / "stale"
+        out.mkdir()
+        lock = out / ".vxl-lock"
+        lock.write_text(json.dumps(
+            {"pid": child.pid, "host": socket.gethostname(),
+             "started": "2020-01-01T00:00:00Z"}))
+        before = lock.read_bytes()
+        code, _, err = run_cli(capsys, "simulate", *SIM_FLAGS,
+                               "--out", str(out))
+        assert code == 2
+        message = stderr_payload(err)["message"]
+        assert "stale lock" in message and str(child.pid) in message
+        assert lock.read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == [".vxl-lock"]
 
     def test_non_finite_initial_state_refused(self, capsys, tmp_path):
         # 2 * energy overflows, so the scaled random field is inf and NaN
@@ -269,7 +343,7 @@ class TestVerifyCost:
     """One verify shares the derived fields of each velocity it checks."""
 
     # scalar fields transformed by one verify, whatever the grid size
-    MAX_INVERSE_FIELDS = 266
+    MAX_INVERSE_FIELDS = 248
     MAX_FORWARD_FIELDS = 38
 
     def test_transform_and_invariant_counts(self, monkeypatch, fft_fields):
@@ -311,6 +385,22 @@ class TestStats:
         assert [e["q"] for e in payload["lq"]] == [1.0, 2.0, 3.0]
         assert all(e["passed"] for e in payload["lq"])
         assert (run_dir / "stats_report.json").is_file()
+
+    def test_truncated_run_refused(self, capsys, tmp_path):
+        out = tmp_path / "run"
+        assert main(["simulate", "--n", "16", "--nu", "0.01", "--dt", "0.01",
+                     "--t-end", "0.25", "--output-interval", "0.05",
+                     "--out", str(out)]) == 0
+        csv = out / "diagnostics.csv"
+        lines = csv.read_text().splitlines(keepends=True)
+        assert len(lines) == 7  # the header and t = 0, 0.05, ..., 0.25
+        csv.write_text("".join(lines[:4]))
+        code, _, err = run_cli(capsys, "stats", "--run", str(out))
+        assert code == 2
+        payload = stderr_payload(err)
+        assert payload["error"] == "config"
+        assert "3 records" in payload["message"]
+        assert not (out / "stats_report.json").exists()
 
     def test_requires_run_dir(self, capsys):
         code, _, err = run_cli(capsys, "stats")

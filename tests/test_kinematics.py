@@ -89,6 +89,18 @@ class TestDecompose:
         assert np.abs(w.data - direct.data).max() < 1e-11
 
 
+class TestWorkspace:
+    def test_flux_and_lap_s_computed_once(self, band8_field, fft_fields):
+        ws = vx.Workspace(band8_field)
+        ws.up, ws.a, ws.advection_h  # the inputs they read
+        for name, inverse in (("advective_flux", 12), ("lap_s", 6)):
+            fft_fields.update(forward=0, inverse=0)
+            first = getattr(ws, name)
+            assert fft_fields == {"forward": 0, "inverse": inverse}
+            assert getattr(ws, name) is first
+            assert fft_fields == {"forward": 0, "inverse": inverse}
+
+
 class TestInvariants:
     def test_pointwise_match_symbolic_abc(self, abc_velocity):
         inv = vx.invariants(abc_velocity)
