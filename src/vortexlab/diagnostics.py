@@ -19,9 +19,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .kinematics import invariants, mean_helicity
+from .kinematics import Workspace, mean_helicity
 from .solver import FlowState, evolution_workspaces
-from .spectral import physical_gradient, to_spectral
+from .spectral import (
+    SYMMETRIC_PAIRS,
+    physical_gradient,
+    spectral_inner,
+    to_spectral,
+)
 
 __all__ = [
     "OMEGA_FLOOR",
@@ -204,6 +209,28 @@ def _lq_terms(q: float, nu: float, grid, m: np.ndarray, wsw: np.ndarray,
     return LqReport(q, derivative, gradient_term, stretching, slack, scale)
 
 
+def _vorticity_terms(f: Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise |omega|^2 and omega . S omega of the workspace's velocity."""
+    w = f.w
+    return (np.einsum("i...,i...->...", w, w),
+            np.einsum("i...,ij...,j...->...", w, f.s_from_sh, w))
+
+
+def _tr_s3(f: Workspace) -> np.ndarray:
+    s = f.s_from_sh
+    return np.einsum("ij...,jk...,ki...->...", s, s, s)
+
+
+def _gradient_traces(f: Workspace, enstrophy: np.ndarray, wsw: np.ndarray,
+                     trs3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise (tr A^2, tr A^3), flattened, by the trace identities of
+    A = S + W: tr A^2 = S:S - |omega|^2 / 2 and tr A^3 = tr S^3 + (3/4)
+    omega . S omega, so A itself is never sampled."""
+    s = f.s_from_sh
+    trs2 = np.einsum("ij...,ij...->...", s, s)
+    return (trs2 - 0.5 * enstrophy).ravel(), (trs3 + 0.75 * wsw).ravel()
+
+
 def lq_inequality_check(state: FlowState, q: float) -> LqReport:
     """Check d<|omega|^q>/dt against its decay bound at one state.
 
@@ -214,22 +241,18 @@ def lq_inequality_check(state: FlowState, q: float) -> LqReport:
     if q < 1:
         raise ValueError(f"q must be at least 1, got {q}")
     f, fd = evolution_workspaces(state)
-    # the two invariants read here, as `invariants` forms them, without
-    # the gradient fields it would transform as well
-    w, s = f.w, f.s
-    m = np.einsum("i...,i...->...", w, w) + OMEGA_FLOOR
-    wsw = np.einsum("i...,ij...,j...->...", w, s, w)
-    return _lq_terms(float(q), state.effective_viscosity, state.grid, m,
-                     wsw, w, fd.w)
+    enstrophy, wsw = _vorticity_terms(f)
+    return _lq_terms(float(q), state.effective_viscosity, state.grid,
+                     enstrophy + OMEGA_FLOOR, wsw, f.w, fd.w)
 
 
 def qr_invariants(state: FlowState, bins: int = 32) -> QRInvariants:
     """Joint histograms of the pointwise velocity-gradient invariants."""
     if bins < 2:
         raise ValueError(f"need at least 2 bins, got {bins}")
-    inv = invariants(state.u)
-    tra2 = inv.trA2.data.ravel()
-    tra3 = inv.trA3.data.ravel()
+    f = Workspace(state.u)
+    enstrophy, wsw = _vorticity_terms(f)
+    tra2, tra3 = _gradient_traces(f, enstrophy, wsw, _tr_s3(f))
     return QRInvariants(
         traces=_histogram2d(tra2, tra3, bins),
         conventional=_histogram2d(-0.5 * tra2, -tra3 / 3.0, bins),
@@ -243,21 +266,33 @@ def _histogram2d(x: np.ndarray, y: np.ndarray, bins: int) -> Histogram2D:
                        tuple(tuple(int(c) for c in row) for row in counts))
 
 
+def _strain_inner(grid, ah: np.ndarray, bh: np.ndarray) -> float:
+    """<S:T> of two symmetric tensors from the coefficients of their six
+    SYMMETRIC_PAIRS components; an off-diagonal pair stands for two."""
+    return sum((1.0 if i == j else 2.0) * spectral_inner(grid, ah[p], bh[p])
+               for p, (i, j) in enumerate(SYMMETRIC_PAIRS))
+
+
 def diagnose(state: FlowState, q_list: Sequence[float] = (1.0, 2.0, 3.0),
              histogram_bins: int = 32,
              include_histogram: bool = True) -> DiagnosticsRecord:
-    """All volume means, rates and per-q checks at one state."""
+    """All volume means, rates and per-q checks at one state.
+
+    Every quadratic mean is a Parseval sum over the coefficients of u,
+    omega and S and of their time derivatives, with du/dt = ns_rhs.  Only
+    the terms that are not quadratic (|omega|, |omega|^q, omega . S omega,
+    tr S^3, the L^q terms and the Q-R histogram) are formed from samples.
+    """
     grid = state.grid
     nu = state.effective_viscosity
     f, fd = evolution_workspaces(state)
-    inv = f.invariants
-    up, w, wdot = f.up, f.w, fd.w
+    w, wdot = f.w, fd.w
+    enstrophy, wsw = _vorticity_terms(f)
+    trs3 = _tr_s3(f)
 
-    mean_u2 = float(np.einsum("i...,i...->...", up, up).mean())
-    mean_enstrophy = float(inv.enstrophy.data.mean())
-    mean_abs_omega = float(np.sqrt(inv.enstrophy.data).mean())
-    m = inv.enstrophy.data + OMEGA_FLOOR
-    wsw = inv.omega_S_omega.data
+    mean_u2 = state.mean_square_velocity()
+    mean_abs_omega = float(np.sqrt(enstrophy).mean())
+    m = enstrophy + OMEGA_FLOOR
 
     record_q = tuple(
         (float(q), float((m ** (float(q) / 2.0)).mean())) for q in q_list)
@@ -265,25 +300,23 @@ def diagnose(state: FlowState, q_list: Sequence[float] = (1.0, 2.0, 3.0),
 
     hist = None
     if include_histogram:
-        hist = _histogram2d(inv.trA2.data.ravel(), inv.trA3.data.ravel(),
+        hist = _histogram2d(*_gradient_traces(f, enstrophy, wsw, trs3),
                             histogram_bins)
 
     return DiagnosticsRecord(
         t=state.t,
         mean_u2=mean_u2,
-        mean_enstrophy=mean_enstrophy,
+        mean_enstrophy=spectral_inner(grid, f.wh, f.wh),
         mean_abs_omega=mean_abs_omega,
-        mean_S2=float(inv.trS2.data.mean()),
-        mean_trS3=float(inv.trS3.data.mean()),
+        mean_S2=_strain_inner(grid, f.sh, f.sh),
+        mean_trS3=float(trs3.mean()),
         mean_omega_S_omega=float(wsw.mean()),
-        mean_grad_omega2=float(inv.grad_omega_sq.data.mean()),
-        mean_grad_S2=float(inv.grad_S_sq.data.mean()),
+        mean_grad_omega2=spectral_inner(grid, grid.k2 * f.wh, f.wh),
+        mean_grad_S2=_strain_inner(grid, grid.k2 * f.sh, f.sh),
         entropy_functional=mean_abs_omega + mean_u2 / (math.sqrt(2.0) * nu),
         mean_helicity=mean_helicity(state.u, f),
-        d_mean_u2_dt=2.0 * float(
-            np.einsum("i...,i...->...", up, fd.up).mean()),
-        d_mean_S2_dt=2.0 * float(
-            np.einsum("ij...,ij...->...", f.s, fd.s).mean()),
+        d_mean_u2_dt=2.0 * spectral_inner(grid, f.uh, fd.uh),
+        d_mean_S2_dt=2.0 * _strain_inner(grid, f.sh, fd.sh),
         d_mean_abs_omega_dt=float(
             (m ** -0.5 * np.einsum("i...,i...->...", w, wdot)).mean()),
         mean_unit_omega_S_omega=float((m ** -0.5 * wsw).mean()),

@@ -275,9 +275,9 @@ def kernel_bounds_check(sigma: float, delta: float,
 
 @dataclass(frozen=True)
 class MonteCarloReport:
-    """Outcome of one Monte Carlo check; `sampler` names how the endpoints
-    were drawn ("exact" or "euler-maruyama") and `steps` the number of
-    time steps per path."""
+    """Outcome of one Monte Carlo check.  constant_drift is true when the
+    drift was a vector, whose endpoints are drawn exactly; a callable's
+    paths take 200 Euler-Maruyama steps."""
 
     samples: int
     cells: int
@@ -286,8 +286,6 @@ class MonteCarloReport:
     chi2_statistic: Optional[float]
     chi2_p_value: Optional[float]
     chi2_dof: Optional[int]
-    sampler: str
-    steps: int
 
     @property
     def violation_fraction(self) -> float:
@@ -300,33 +298,12 @@ class MonteCarloReport:
                 "constant_drift": self.constant_drift,
                 "chi2_statistic": self.chi2_statistic,
                 "chi2_p_value": self.chi2_p_value,
-                "chi2_dof": self.chi2_dof,
-                "sampler": self.sampler, "steps": self.steps}
+                "chi2_dof": self.chi2_dof}
 
 
 DriftLike = Union[Callable[[np.ndarray], np.ndarray], np.ndarray, tuple, list]
 
 _EM_STEPS = 200
-
-
-def _normalize_drift(drift_field: DriftLike):
-    """Return (callable on (N,3) points or None, constant vector or None).
-
-    A vector drift gives no callable.  A callable whose values agree on
-    the 27 probe points {-1, 0, 1}^3 reports that value as its constant;
-    it may still vary elsewhere.
-    """
-    if callable(drift_field):
-        probe = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)))
-        vals = np.asarray(drift_field(probe), dtype=float)
-        if vals.shape != probe.shape:
-            raise ValueError(
-                "drift callable must map (N, 3) points to (N, 3) values")
-        const = None
-        if np.abs(vals - vals[0]).max() <= 1e-12:
-            const = vals[0].copy()
-        return drift_field, const
-    return None, _check_unit_drift(drift_field)
 
 
 def _euler_maruyama(fn, x: np.ndarray, delta: float, sigma: float,
@@ -377,18 +354,20 @@ def monte_carlo_kernel_check(sigma: float, delta: float,
     endpoint law is then exactly N(xi + phi delta, delta/sigma^2 I): each
     endpoint is drawn at once as xi + phi delta + (sqrt(delta)/sigma) Z.
     A drift given as a callable is integrated by Euler-Maruyama with step
-    delta/200, even when it is constant on the probe points, since it may
-    vary elsewhere; the bound |phi_i| <= 1 is enforced on every
-    evaluation.  Each batch of batch_size paths draws from its own child
-    of SeedSequence(seed), so a seed fixes the report.
+    delta/200; the bound |phi_i| <= 1 is enforced on every evaluation.
+    Its endpoint law is not known, even where its values look constant,
+    so it reports constant_drift false.  Each batch of batch_size paths
+    draws from its own child of SeedSequence(seed), so a seed fixes the
+    report.
 
-    Cells of a (bins)^3 histogram around the drifted center are flagged
-    when the density estimate exceeds the upper envelope or undercuts the
-    lower one by more than three standard errors; the expected count of
-    flagged cells is about zero.  When the drift is constant the exact
-    product-Gaussian law is known and a chi-squared test against it is run
-    as well (cells with expected count below 5 are pooled into a rest
-    bucket together with the out-of-window mass).
+    Cells of a (bins)^3 histogram around the drifted center xi + phi(xi)
+    delta are flagged when the density estimate exceeds the upper
+    envelope or undercuts the lower one by more than three standard
+    errors; the expected count of flagged cells is about zero.  For a
+    vector drift the exact product-Gaussian law is known and a
+    chi-squared test against it is run as well (cells with expected count
+    below 5 are pooled into a rest bucket together with the out-of-window
+    mass).
     """
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -398,8 +377,17 @@ def monte_carlo_kernel_check(sigma: float, delta: float,
         raise ValueError(f"need at least one sample, got {samples}")
     if bins < 2:
         raise ValueError(f"need at least 2 bins, got {bins}")
-    fn, const = _normalize_drift(drift_field)
     xi = np.asarray(xi, dtype=float).reshape(3)
+    if callable(drift_field):
+        fn, const = drift_field, None
+        at_xi = np.asarray(fn(xi[np.newaxis]), dtype=float)
+        if at_xi.shape != (1, 3):
+            raise ValueError(
+                "drift callable must map (N, 3) points to (N, 3) values")
+        center = xi + at_xi[0] * delta
+    else:
+        fn, const = None, _check_unit_drift(drift_field)
+        center = xi + const * delta
 
     s = math.sqrt(delta) / sigma
     children = np.random.SeedSequence(seed).spawn(
@@ -416,8 +404,6 @@ def monte_carlo_kernel_check(sigma: float, delta: float,
             x[:] = xi
             _euler_maruyama(fn, x, delta, sigma, rng)
 
-    center = xi + (const if const is not None else np.asarray(
-        fn(xi[np.newaxis]), dtype=float)[0]) * delta
     edges = [center[i] + s * np.linspace(-4.0, 4.0, bins + 1)
              for i in range(3)]
     counts, _ = np.histogramdd(pts, bins=edges)
@@ -461,9 +447,7 @@ def monte_carlo_kernel_check(sigma: float, delta: float,
     return MonteCarloReport(
         samples=samples, cells=int(counts.size), violating_cells=violating,
         constant_drift=const is not None, chi2_statistic=chi2_stat,
-        chi2_p_value=chi2_p, chi2_dof=chi2_dof,
-        sampler="exact" if fn is None else "euler-maruyama",
-        steps=1 if fn is None else _EM_STEPS)
+        chi2_p_value=chi2_p, chi2_dof=chi2_dof)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .spectral import (
     spec_derivative,
     spec_divergence,
     spec_poisson,
+    spectral_inner,
     to_physical,
     to_spectral,
     unpack_symmetric,
@@ -171,6 +172,13 @@ class Workspace:
         return np.stack([
             0.5 * (spec_derivative(g, uh[i], j) + spec_derivative(g, uh[j], i))
             for i, j in SYMMETRIC_PAIRS])
+
+    @cached_property
+    def s_from_sh(self) -> np.ndarray:
+        """S sampled from its six packed components: 6 transforms where s
+        takes the 9 of A, for callers that need no A.  It equals s to
+        roundoff."""
+        return unpack_symmetric(to_physical(self.grid, self.sh), axis=0)
 
     @cached_property
     def ds(self) -> np.ndarray:
@@ -381,6 +389,6 @@ def variance_P(eigs: StrainEigenvalues) -> tuple[ScalarField, ScalarField]:
 
 def mean_helicity(u: VectorField,
                   workspace: Optional[Workspace] = None) -> float:
-    """Volume mean of u . curl u."""
+    """Volume mean of u . curl u, as a Parseval sum of the coefficients."""
     ws = Workspace.of(u, workspace)
-    return float(np.einsum("i...,i...->...", ws.up, ws.w).mean())
+    return spectral_inner(ws.grid, ws.uh, ws.wh)

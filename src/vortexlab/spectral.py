@@ -43,6 +43,7 @@ __all__ = [
     "band_limit",
     "volume_mean",
     "spectral_mean_square",
+    "spectral_inner",
 ]
 
 Rep = Literal["physical", "spectral"]
@@ -328,8 +329,25 @@ def spectral_mean_square(grid: Grid, coeffs: np.ndarray) -> float:
     Uses the discrete Parseval identity of the half-complex layout, so the
     result matches mean(values**2) of the physical representation.
     """
-    mag2 = (coeffs.real ** 2 + coeffs.imag ** 2) * grid.parseval_weights
-    return float(mag2.sum())
+    return spectral_inner(grid, coeffs, coeffs)
+
+
+def spectral_inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
+    """Volume mean of the pointwise product of the fields with coefficients
+    a and b, summed over any component axes.
+
+    The discrete Parseval identity of the half-complex layout: each stored
+    mode also stands for its unstored conjugate, except on the kz = 0 and
+    kz = n/2 planes.  Re(a conj b) is weighted and summed element by
+    element, so the sum is fixed by the array shape alone: random initial
+    conditions are normalized by spectral_mean_square, and their fields
+    would move by an ulp under another summation order.
+    """
+    if a.shape != b.shape or a.shape[-3:] != grid.spectral_shape:
+        raise ValueError(f"need two arrays of coefficients on {grid}, got "
+                         f"shapes {a.shape} and {b.shape}")
+    re_ab = (a.real * b.real + a.imag * b.imag) * grid.parseval_weights
+    return float(re_ab.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -160,3 +160,73 @@ def richardson_order(errors, factors=2.0):
     """Observed convergence order from errors at step h, h/2."""
     e = np.asarray(errors, dtype=float)
     return np.log(e[:-1] / e[1:]) / np.log(factors)
+
+
+# ---------------------------------------------------------------------------
+# run diagnostics as volume means of sampled products
+
+def physical_diagnostics(state, q_list=(1.0, 2.0, 3.0), floor=1e-30):
+    """Every DiagnosticsRecord value of `state`, by name, as a volume mean
+    of sampled products: u, A, S, omega, grad S, grad omega and du/dt =
+    ns_rhs are all sampled and every mean is taken over grid points.
+    "trA2" and "trA3" hold the pointwise traces of the sampled A."""
+    from vortexlab import spectral as spx
+    from vortexlab.solver import ns_rhs
+
+    g = state.grid
+    nu = state.effective_viscosity
+
+    def fields(uh):
+        a = spx.physical_gradient(g, uh)  # a[i, j] = d_j u_i
+        s = 0.5 * (a + np.swapaxes(a, 0, 1))
+        w = np.stack([a[2, 1] - a[1, 2], a[0, 2] - a[2, 0],
+                      a[1, 0] - a[0, 1]])
+        return spx.to_physical(g, uh), a, s, w
+
+    u, a, s, w = fields(state.u.data)
+    ud, _, sd, wd = fields(ns_rhs(state).data)
+    ds = spx.physical_gradient(g, spx.to_spectral(g, s))
+    dw = spx.physical_gradient(g, spx.to_spectral(g, w))
+
+    def mean(x):
+        return float(x.mean())
+
+    enstrophy = np.einsum("i...,i...->...", w, w)
+    m = enstrophy + floor
+    wsw = np.einsum("i...,ij...,j...->...", w, s, w)
+    w_wd = np.einsum("i...,i...->...", w, wd)
+    out = {
+        "t": state.t,
+        "mean_u2": mean(np.einsum("i...,i...->...", u, u)),
+        "mean_enstrophy": mean(enstrophy),
+        "mean_abs_omega": mean(np.sqrt(enstrophy)),
+        "mean_S2": mean(np.einsum("ij...,ij...->...", s, s)),
+        "mean_trS3": mean(np.einsum("ij...,jk...,ki...->...", s, s, s)),
+        "mean_omega_S_omega": mean(wsw),
+        "mean_grad_omega2": mean(np.einsum("ik...,ik...->...", dw, dw)),
+        "mean_grad_S2": mean(np.einsum("ijk...,ijk...->...", ds, ds)),
+        "mean_helicity": mean(np.einsum("i...,i...->...", u, w)),
+        "d_mean_u2_dt": 2.0 * mean(np.einsum("i...,i...->...", u, ud)),
+        "d_mean_S2_dt": 2.0 * mean(np.einsum("ij...,ij...->...", s, sd)),
+        "d_mean_abs_omega_dt": mean(m ** -0.5 * w_wd),
+        "mean_unit_omega_S_omega": mean(m ** -0.5 * wsw),
+        "trA2": np.einsum("ij...,ji...->...", a, a).ravel(),
+        "trA3": np.einsum("ij...,jk...,ki...->...", a, a, a).ravel(),
+    }
+    out["entropy_functional"] = (out["mean_abs_omega"]
+                                 + out["mean_u2"] / (np.sqrt(2.0) * nu))
+    out["mean_abs_omega_q"] = tuple((q, mean(m ** (q / 2.0)))
+                                    for q in q_list)
+    checks = []
+    for q in q_list:
+        derivative = q * mean(m ** ((q - 2.0) / 2.0) * w_wd)
+        stretching = q * mean(m ** ((q - 2.0) / 2.0) * wsw)
+        gradient = 0.0
+        if q != 1.0:
+            grad = spx.physical_gradient(g, spx.to_spectral(g, m ** (q / 4.0)))
+            gradient = -4.0 * (1.0 - 1.0 / q) * nu * mean(
+                np.einsum("i...,i...->...", grad, grad))
+        scale = max(abs(derivative), abs(gradient), abs(stretching), 1e-300)
+        checks.append((q, (gradient + stretching) - derivative, scale))
+    out["lq_checks"] = tuple(checks)
+    return out

@@ -165,6 +165,17 @@ class TestSimulate:
                                                                  abs=1e-12)
         assert series.records[-1].t == pytest.approx(0.1, rel=1e-12)
 
+    def test_no_invariant_fields(self, capsys, monkeypatch, tmp_path):
+        # diagnose reads quadratic means from spectra and samples only S
+        # and omega, so no full set of invariant fields is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate built the invariant fields")
+
+        monkeypatch.setattr(kinematics, "invariants", refuse)
+        code, _, _ = run_cli(capsys, "simulate", *SIM_FLAGS,
+                             "--out", str(tmp_path / "run"))
+        assert code == 0
+
     def test_snapshot_series(self, capsys, tmp_path):
         out = tmp_path / "snaps"
         code, _, _ = run_cli(capsys, "simulate", *SIM_FLAGS, "--out",

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import vortexlab as vx
 from vortexlab import heatkernel as hk
@@ -451,26 +452,63 @@ class TestMonteCarloSampler:
         return wrapped, calls
 
     def test_constant_callable_runs_the_loop_against_the_exact_law(self):
+        # with additive noise and a constant drift the endpoints of the
+        # loop are N(xi + c delta, delta / sigma^2 I); chi-squared over 6^3
+        # equiprobable cells of that law
         const = np.array([0.5, -0.3, 0.0])
         drift, calls = self.counting(
             lambda p: np.broadcast_to(const, p.shape))
+        xi = np.array([0.2, -0.1, 0.3])
+        samples = 20000
+        x = np.tile(xi, (samples, 1))
+        hk._euler_maruyama(drift, x, self.DELTA, self.SIGMA,
+                           np.random.default_rng(3))
+        assert len(calls) == 200
+        z = (x - (xi + const * self.DELTA)) / (math.sqrt(self.DELTA)
+                                               / self.SIGMA)
+        edges = stats.norm.ppf(np.linspace(0.0, 1.0, 7))
+        counts, _ = np.histogramdd(z, bins=[edges] * 3)
+        expected = samples / counts.size
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert stats.chi2.sf(chi2, counts.size - 1) > 1e-3
+
+        calls.clear()
         rep = hk.monte_carlo_kernel_check(self.SIGMA, self.DELTA, drift,
                                           samples=20000, seed=3)
-        assert rep.sampler == "euler-maruyama" and rep.steps == 200
-        # one probe call, then 200 steps for each of the two batches; the
-        # drifted center comes from the probe value
-        assert len(calls) == 2 * 200 + 1
-        assert rep.constant_drift
+        # the drift at xi, then 200 steps for each of the two batches
+        assert len(calls) == 1 + 2 * 200
+        assert not rep.constant_drift and rep.chi2_p_value is None
         assert rep.violating_cells == 0
-        assert rep.chi2_p_value > 1e-3
 
     def test_callable_constant_on_probes_only_runs_the_loop(self):
         # zero on every probe point {-1, 0, 1}^3, not elsewhere
         drift, calls = self.counting(lambda p: 0.9 * np.sin(np.pi * p))
         rep = hk.monte_carlo_kernel_check(self.SIGMA, self.DELTA, drift,
                                           samples=2000, seed=0)
-        assert rep.sampler == "euler-maruyama"
+        assert not rep.constant_drift
         assert len(calls) > 2
+
+    def test_callable_gets_no_chi2_and_is_centred_at_its_value(
+            self, monkeypatch):
+        # 0.9 sin(pi p) vanishes on the points {-1, 0, 1}^3 but not at xi
+        xi = np.array([0.5, 0.5, 0.5])
+        bins = []
+        histogramdd = np.histogramdd
+
+        def capture(pts, *args, **kwargs):
+            bins.append(kwargs["bins"])
+            return histogramdd(pts, *args, **kwargs)
+
+        monkeypatch.setattr(np, "histogramdd", capture)
+        rep = hk.monte_carlo_kernel_check(
+            self.SIGMA, self.DELTA, lambda p: 0.9 * np.sin(np.pi * p),
+            samples=20000, seed=0, xi=xi)
+        assert not rep.constant_drift
+        assert rep.chi2_statistic is None and rep.chi2_p_value is None
+        assert rep.violating_cells == 0
+        (edges,) = bins
+        centre = [0.5 * (e[0] + e[-1]) for e in edges]
+        assert centre == pytest.approx(xi + 0.9 * self.DELTA, abs=1e-15)
 
     def test_vector_drift_is_drawn_exactly(self, monkeypatch):
         def no_loop(*args, **kwargs):
@@ -480,8 +518,7 @@ class TestMonteCarloSampler:
         rep = hk.monte_carlo_kernel_check(self.SIGMA, self.DELTA,
                                           np.array([1.0, 0.0, -1.0]),
                                           samples=5000, seed=2)
-        assert rep.sampler == "exact" and rep.steps == 1
-        assert rep.as_dict()["sampler"] == "exact"
+        assert rep.constant_drift and rep.as_dict()["constant_drift"]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_exact_draw_has_the_drifted_law(self, monkeypatch, seed):

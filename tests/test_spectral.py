@@ -96,6 +96,20 @@ class TestTransforms:
         direct = float((values ** 2).mean(axis=(-3, -2, -1)).sum())
         assert spx.spectral_mean_square(grid16, ch) == pytest.approx(
             direct, rel=1e-12)
+        other = rand_physical(16, seed + 1, components=(3,))
+        cross = float((values * other).mean(axis=(-3, -2, -1)).sum())
+        assert spx.spectral_inner(
+            grid16, ch, spx.to_spectral(grid16, other)) == pytest.approx(
+                cross, rel=1e-12, abs=1e-14)
+        assert spx.spectral_inner(grid16, ch, ch) == pytest.approx(
+            direct, rel=1e-14)
+
+    def test_inner_rejects_other_layouts(self, grid16):
+        ch = spx.to_spectral(grid16, rand_physical(16, 0, components=(3,)))
+        with pytest.raises(ValueError, match="coefficients"):
+            spx.spectral_inner(grid16, ch, ch[0])
+        with pytest.raises(ValueError, match="coefficients"):
+            spx.spectral_inner(vx.Grid(8), ch, ch)
 
 
 class TestDifferentialOperators:
