@@ -8,7 +8,8 @@ violation, or a step that made the state non-finite).
 
 A flat key=value file can be passed via --config; explicit flags override
 file entries.  Keys use the long flag names (dashes and underscores are
-interchangeable).  VXL_THREADS caps transform parallelism.
+interchangeable).  VXL_THREADS caps transform parallelism on grids of
+n >= 48; smaller grids transform on one thread.
 """
 
 from __future__ import annotations

@@ -259,8 +259,17 @@ def qr_invariants(state: FlowState, bins: int = 32) -> QRInvariants:
     )
 
 
-def _histogram2d(x: np.ndarray, y: np.ndarray, bins: int) -> Histogram2D:
-    counts, xe, ye = np.histogram2d(x, y, bins=bins)
+def _histogram2d(q: np.ndarray, r: np.ndarray, bins: int) -> Histogram2D:
+    """np.histogram2d of (Q, R) samples, except that an R axis within 1e-12
+    of its scale, max |Q|^(3/2), is the roundoff of an invariant that
+    vanishes identically (tr A^3 of Taylor-Green) and is binned as zero:
+    every sample goes into the bin holding 0, between edges spanning the
+    roundoff.  Q, the scale itself, is never roundoff unless all zero."""
+    r_range = None
+    extent = float(np.abs(r).max())
+    if 0.0 < extent <= 1e-12 * float(np.abs(q).max()) ** 1.5:
+        r, r_range = np.zeros_like(r), (-extent, extent)
+    counts, xe, ye = np.histogram2d(q, r, bins=bins, range=[None, r_range])
     return Histogram2D(tuple(float(v) for v in xe),
                        tuple(float(v) for v in ye),
                        tuple(tuple(int(c) for c in row) for row in counts))

@@ -79,6 +79,26 @@ def _require_solenoidal(grid: Grid, uh: np.ndarray, what: str,
             f"(relative), tolerance {tol:.0e}")
 
 
+def _hermitian_defect(uh: np.ndarray) -> float:
+    """max |u_hat(kx, ky) - conj u_hat(-kx, -ky)| on the kz = 0 and kz = n/2
+    planes over max |u_hat|: zero for the transform of a real field."""
+    planes = uh[..., [0, -1]]
+    mirrored = np.roll(np.flip(planes, axis=(-3, -2)), 1, axis=(-3, -2))
+    denom = float(np.abs(uh).max())
+    if denom == 0.0:
+        return 0.0
+    return float(np.abs(planes - mirrored.conj()).max()) / denom
+
+
+def _require_hermitian(uh: np.ndarray, what: str, tol: float = 1e-10) -> None:
+    rel = _hermitian_defect(uh)
+    if not rel < tol:
+        raise ValueError(
+            f"{what} is not the transform of a real field: its kz = 0 and "
+            f"kz = n/2 planes have a Hermitian defect of {rel:.3e} "
+            f"(relative), tolerance {tol:.0e}")
+
+
 def _lamb_vector(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Pointwise u x omega."""
     c = np.empty_like(u)

@@ -30,7 +30,7 @@ from .identities import (
     _report,
     _viscous_flux,
 )
-from .kinematics import Workspace, _require_solenoidal
+from .kinematics import Workspace, _require_hermitian, _require_solenoidal
 from .spectral import (
     Grid,
     ScalarField,
@@ -109,6 +109,7 @@ class FlowState:
         if not (np.isfinite(param) and param > 0):
             raise ValueError(f"viscosity parameter must be positive, got {param}")
         _require_solenoidal(self.u.grid, self.u.data, "state velocity")
+        _require_hermitian(self.u.data, "state velocity")
 
     @property
     def mode(self) -> str:

@@ -52,8 +52,9 @@ _TWO_PI = 2.0 * np.pi
 
 
 def fft_workers() -> int:
-    """Worker-thread count for FFT calls: the CPUs this process may use
-    (_cpu_limit), capped by the VXL_THREADS variable when it is set."""
+    """Worker-thread count for FFT calls on grids large enough to thread
+    (_workers): the CPUs this process may use (_cpu_limit), capped by the
+    VXL_THREADS variable when it is set."""
     limit = _cpu_limit()
     raw = os.environ.get("VXL_THREADS")
     if raw is not None and raw.strip():
@@ -219,16 +220,29 @@ class Grid:
 # ---------------------------------------------------------------------------
 # raw-array transforms and operators (grid first, arrays second)
 
+# Grids with fewer points per axis transform on one worker: a second
+# thread saves them no wall time and costs CPU (the 1-, 3- and 9-field
+# crossover measured on 2 CPUs lies between n = 32 and n = 48).
+_THREADED_MIN_N = 48
+
+
+def _workers(grid: Grid) -> int:
+    """Worker count for one transform on grid; fft_workers runs on every
+    call, so a bad VXL_THREADS is refused on small grids too."""
+    workers = fft_workers()
+    return workers if grid.n >= _THREADED_MIN_N else 1
+
+
 def to_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Forward real FFT over the trailing three axes; leading axes batch."""
     return _fft.rfftn(values, axes=(-3, -2, -1), norm="forward",
-                      workers=fft_workers())
+                      workers=_workers(grid))
 
 
 def to_physical(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Inverse of to_spectral; always returns real values."""
     return _fft.irfftn(coeffs, s=grid.shape, axes=(-3, -2, -1), norm="forward",
-                       workers=fft_workers())
+                       workers=_workers(grid))
 
 
 def spec_derivative(grid: Grid, coeffs: np.ndarray, axis: int) -> np.ndarray:
@@ -237,10 +251,19 @@ def spec_derivative(grid: Grid, coeffs: np.ndarray, axis: int) -> np.ndarray:
     return coeffs * (1j * grid.kd[axis])
 
 
+def _products(coeffs: np.ndarray, factors) -> np.ndarray:
+    """coeffs times each of factors, written into one array with the
+    factor index on a new axis before the three grid axes."""
+    out = np.empty(coeffs.shape[:-3] + (len(factors),) + coeffs.shape[-3:],
+                   dtype=np.result_type(coeffs, *factors))
+    for p, factor in enumerate(factors):
+        np.multiply(coeffs, factor, out=out[..., p, :, :, :])
+    return out
+
+
 def spec_gradient(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """d_k of every component of coeffs, k on a new last component axis."""
-    return np.stack([spec_derivative(grid, coeffs, k) for k in range(3)],
-                    axis=-4)
+    return _products(coeffs, [1j * kdi for kdi in grid.kd])
 
 
 def spec_divergence(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
@@ -318,8 +341,7 @@ def physical_hessian(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Samples of d_i d_j of every component of coeffs on two new last
     axes (i, j); only the six pairs i <= j are transformed."""
     kd = grid.kd
-    packed = np.stack([coeffs * (-kd[i] * kd[j]) for i, j in SYMMETRIC_PAIRS],
-                      axis=-4)
+    packed = _products(coeffs, [-kd[i] * kd[j] for i, j in SYMMETRIC_PAIRS])
     return unpack_symmetric(to_physical(grid, packed))
 
 

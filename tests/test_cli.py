@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import vortexlab as vx
-from vortexlab import cli, kinematics, solver
+from vortexlab import cli, kinematics, solver, spectral
 from vortexlab.cli import _read_config_file, main
 from vortexlab.storage import save_field, save_state
 
@@ -58,6 +58,15 @@ class TestUsageErrors:
         payload = stderr_payload(err)
         assert payload["error"] == "config"
         assert "not both" in payload["message"]
+
+    def test_bad_thread_count_on_a_small_grid(self, capsys, monkeypatch):
+        # n = 16 transforms on one worker, yet VXL_THREADS is still read
+        monkeypatch.setenv("VXL_THREADS", "0")
+        code, _, err = run_cli(capsys, "verify", "--n", "16")
+        assert code == 2
+        payload = stderr_payload(err)
+        assert payload["error"] == "config"
+        assert "VXL_THREADS" in payload["message"]
 
     def test_odd_n_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--n", "17", "--nu", "0.1",
@@ -376,6 +385,33 @@ class TestVerifyCost:
         assert fft_fields["forward"] <= self.MAX_FORWARD_FIELDS
         # the identity and the evolution suite each check one velocity
         assert len(velocities) == len(set(velocities)) == 2
+
+
+class TestVerifyThreads:
+    """Transform worker counts change no value of a verify."""
+
+    @pytest.fixture(scope="class")
+    def state32(self):
+        return vx.initial_condition("random_isotropic", vx.Grid(32), seed=5,
+                                    re=100.0)
+
+    @staticmethod
+    def reports(state):
+        return json.dumps([r.as_dict() for r in cli._verify_reports(state)])
+
+    @pytest.mark.parametrize("threaded_n32", [False, True])
+    def test_reports_equal_on_one_and_two_workers(self, monkeypatch, state32,
+                                                  threaded_n32):
+        # threaded_n32 lifts the size rule, so that n = 32 transforms run
+        # on both workers; either way one worker must give the same bits
+        monkeypatch.setattr(spectral, "_cpu_limit", lambda: 2)
+        if threaded_n32:
+            monkeypatch.setattr(spectral, "_THREADED_MIN_N", 0)
+        monkeypatch.setenv("VXL_THREADS", "1")
+        single = self.reports(state32)
+        monkeypatch.delenv("VXL_THREADS")
+        assert spectral.fft_workers() == 2
+        assert self.reports(state32) == single
 
 
 @pytest.fixture(scope="module")

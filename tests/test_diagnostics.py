@@ -312,6 +312,18 @@ class TestQRInvariants:
             assert _edges_agree(hist.q_edges, qe)
             assert _edges_agree(hist.r_edges, re)
 
+    def test_roundoff_axis_fills_one_bin(self, tg_state):
+        # Taylor-Green's tr A^3 vanishes identically: its R axis holds
+        # roundoff, which goes into the one bin that holds 0
+        qr = vx.qr_invariants(tg_state)
+        scale = np.abs(vx.invariants(tg_state.u).trA2.data).max()
+        for hist in (qr.traces, qr.conventional):
+            r_marginal = np.array(hist.counts).sum(axis=0)
+            assert r_marginal.max() == 32 ** 3
+            assert np.abs(hist.r_edges).max() < 1e-12 * scale ** 1.5
+        record = vx.diagnose(tg_state)
+        assert np.array(record.qr_histogram.counts).sum(axis=0).max() == 32 ** 3
+
     def test_transforms_only_s_and_omega(self, tg16, fft_fields):
         fft_fields.update(forward=0, inverse=0)
         vx.qr_invariants(tg16)

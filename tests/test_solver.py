@@ -41,6 +41,32 @@ class TestFlowState:
         with pytest.raises(ValueError, match="solenoidal"):
             vx.FlowState(u.to_spectral(), nu=0.01)
 
+    def test_rejects_non_hermitian_coefficients(self):
+        # random complex coefficients are the transform of no real field:
+        # their Parseval mean square disagrees with that of their samples
+        grid = vx.Grid(8)
+        rng = np.random.default_rng(0)
+        shape = (3,) + grid.spectral_shape
+        ch = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ch = spx.spec_project(grid, ch) * grid.dealias_mask
+        ch[:, 0, 0, 0] = 0.0
+        u = vx.VectorField.spectral(grid, ch)
+        samples = spx.to_physical(grid, ch)
+        assert spx.spectral_mean_square(grid, ch) > 1.05 * (samples ** 2).mean(
+            axis=(1, 2, 3)).sum()
+        with pytest.raises(ValueError, match="real field"):
+            vx.FlowState(u, re=100.0)
+
+    @pytest.mark.parametrize("kind", ["taylor_green", "abc",
+                                      "random_isotropic"])
+    def test_accepts_states_it_makes(self, tmp_path, kind):
+        st = vx.initial_condition(kind, vx.Grid(16), seed=2, re=100.0)
+        st = vx.step(st, vx.SolverConfig(dt=1e-3, t_end=1e-3))
+        vx.save_state(tmp_path / "s.vxl", st)
+        back = vx.load_state(tmp_path / "s.vxl", dimensionless=True)
+        for state in (st, back):
+            assert kin._hermitian_defect(state.u.data) < 1e-14
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_velocity(self, band8_field, bad):
         data = band8_field.data.copy()

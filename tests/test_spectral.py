@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
@@ -320,3 +321,36 @@ class TestWorkerConfig:
         monkeypatch.setenv("VXL_THREADS", bad)
         with pytest.raises(ValueError):
             spx.fft_workers()
+        # also where the grid is too small to transform on more than one
+        grid = vx.Grid(16)
+        with pytest.raises(ValueError, match="VXL_THREADS"):
+            spx.to_spectral(grid, np.zeros(grid.shape))
+        with pytest.raises(ValueError, match="VXL_THREADS"):
+            spx.to_physical(grid, np.zeros(grid.spectral_shape, complex))
+
+    @pytest.fixture
+    def fft_workers_passed(self, monkeypatch):
+        """The workers argument of every transform while the test runs."""
+        passed = []
+
+        class RecordingFFT:
+            def rfftn(self, values, workers, **kw):
+                passed.append(workers)
+                return scipy.fft.rfftn(values, workers=workers, **kw)
+
+            def irfftn(self, coeffs, workers, **kw):
+                passed.append(workers)
+                return scipy.fft.irfftn(coeffs, workers=workers, **kw)
+
+        monkeypatch.setattr(spx, "_fft", RecordingFFT())
+        return passed
+
+    @pytest.mark.parametrize("n,want", [(16, 1), (32, 1), (48, 4), (64, 4)])
+    def test_workers_follow_grid_size(self, cpus, fft_workers_passed, n, want):
+        # below the crossover one worker, whatever fft_workers allows
+        cpus(4, None)
+        assert spx.fft_workers() == 4
+        grid = vx.Grid(n)
+        ch = spx.to_spectral(grid, rand_physical(n, n, components=(3,)))
+        spx.to_physical(grid, ch)
+        assert fft_workers_passed == [want, want]
