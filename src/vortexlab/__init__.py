@@ -12,26 +12,11 @@ from .spectral import (
     ScalarField,
     VectorField,
     TensorField3,
-    transform,
-    derivative,
-    gradient,
-    divergence,
-    curl,
-    laplacian,
-    gradient_tensor,
-    hessian,
-    solve_poisson,
-    dealias,
-    band_limit,
-    volume_mean,
 )
 from .kinematics import (
     InvariantFields,
     StrainEigenvalues,
     Workspace,
-    velocity_gradient,
-    vorticity,
-    decompose,
     invariants,
     strain_eigenvalues,
     variance_P,
@@ -104,12 +89,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Grid", "ScalarField", "VectorField", "TensorField3",
-    "transform", "derivative", "gradient", "divergence", "curl",
-    "laplacian", "gradient_tensor", "hessian", "solve_poisson",
-    "dealias", "band_limit", "volume_mean",
-    "InvariantFields", "StrainEigenvalues", "velocity_gradient",
-    "vorticity", "decompose", "invariants", "strain_eigenvalues",
-    "variance_P", "mean_helicity", "Workspace",
+    "InvariantFields", "StrainEigenvalues", "invariants",
+    "strain_eigenvalues", "variance_P", "mean_helicity", "Workspace",
     "ResidualReport", "residual_tr2", "residual_tr3", "residual_grad_sw",
     "residual_pressure_hessian", "gamma2_residual", "mean_identities",
     "switched_invariant_residuals",

@@ -71,7 +71,7 @@ from .solver import (
     pressure_from_velocity,
     step,
 )
-from .spectral import Grid, ScalarField, VectorField, band_limit
+from .spectral import Grid, ScalarField, VectorField, spec_band_limit
 from .storage import load_state, read_manifest, save_state, write_manifest
 
 __all__ = ["RunConfig", "main"]
@@ -183,6 +183,10 @@ def _emit_error(kind: str, message: str, **extra) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # no abbreviations: `kernel --n 7` would otherwise set --nu
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         _emit_error("usage", message)
         raise SystemExit(2)
@@ -242,28 +246,31 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="vxl", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = _Parser(add_help=False)
-    common.add_argument("--config", default=None, metavar="FILE",
-                        help="flat key=value file; flags override it")
-    common.add_argument("--n", type=int, default=None)
-    common.add_argument("--box-length", dest="box_length", type=float,
-                        default=None)
-    common.add_argument("--nu", type=float, default=None)
-    common.add_argument("--re", type=float, default=None)
-    common.add_argument("--dt", type=float, default=None)
-    common.add_argument("--t-end", dest="t_end", type=float, default=None)
-    common.add_argument("--output-interval", dest="output_interval",
-                        type=float, default=None)
-    common.add_argument("--out", default=None, metavar="DIR")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--ic", choices=sorted(_IC_KINDS), default=None)
-    common.add_argument("--q-list", dest="q_list", type=_parse_floats,
-                        default=None, metavar="Q1,Q2,...")
-    common.add_argument("--cfl-constant", dest="cfl_constant", type=float,
-                        default=None)
+    # each subcommand takes the flags it reads and refuses the others
+    base = _Parser(add_help=False)
+    base.add_argument("--config", default=None, metavar="FILE",
+                      help="flat key=value file; flags override it")
+    base.add_argument("--out", default=None, metavar="DIR")
+    viscous = _Parser(add_help=False)
+    viscous.add_argument("--nu", type=float, default=None)
+    viscous.add_argument("--re", type=float, default=None)
+    viscous.add_argument("--seed", type=int, default=None)
+    field = _Parser(add_help=False)
+    field.add_argument("--n", type=int, default=None)
+    field.add_argument("--box-length", dest="box_length", type=float,
+                       default=None)
+    field.add_argument("--ic", choices=sorted(_IC_KINDS), default=None)
 
-    sim = sub.add_parser("simulate", parents=[common],
+    sim = sub.add_parser("simulate", parents=[base, viscous, field],
                          help="run a decaying flow and record diagnostics")
+    sim.add_argument("--dt", type=float, default=None)
+    sim.add_argument("--t-end", dest="t_end", type=float, default=None)
+    sim.add_argument("--output-interval", dest="output_interval",
+                     type=float, default=None)
+    sim.add_argument("--cfl-constant", dest="cfl_constant", type=float,
+                     default=None)
+    sim.add_argument("--q-list", dest="q_list", type=_parse_floats,
+                     default=None, metavar="Q1,Q2,...")
     sim.add_argument("--k0", type=float, default=None)
     sim.add_argument("--energy", type=float, default=None)
     sim.add_argument("--abc", type=_parse_floats, default=None,
@@ -272,17 +279,17 @@ def build_parser() -> _Parser:
                      action="store_true", default=None)
     sim.set_defaults(func=cmd_simulate)
 
-    ver = sub.add_parser("verify", parents=[common],
+    ver = sub.add_parser("verify", parents=[base, viscous, field],
                          help="evaluate identity and evolution residuals")
     ver.add_argument("--snapshot", default=None, metavar="FILE")
     ver.set_defaults(func=cmd_verify)
 
-    sta = sub.add_parser("stats", parents=[common],
+    sta = sub.add_parser("stats", parents=[base],
                          help="entropy and L^q checks over a finished run")
     sta.add_argument("--run", default=None, metavar="DIR")
     sta.set_defaults(func=cmd_stats)
 
-    ker = sub.add_parser("kernel", parents=[common],
+    ker = sub.add_parser("kernel", parents=[base, viscous],
                          help="drift-kernel bound and propagator checks")
     ker.add_argument("--sigma", type=float, default=None)
     ker.add_argument("--delta", type=float, default=None)
@@ -436,12 +443,14 @@ def cmd_simulate(cfg: RunConfig, options: dict) -> int:
 def _verify_reports(state: FlowState):
     grid = state.grid
     nu = state.effective_viscosity
+    uh = state.u.data
     # identity suite: products of two fields must stay representable
-    u_id = band_limit(state.u, grid.n // 4)
+    u_id = VectorField.spectral(grid, spec_band_limit(grid, uh, grid.n // 4))
     # evolution suite: the dealias mask must not clip the advection term
     ev_cut = ((grid.n - 1) // 3) // 2 + 1
-    ev_state = FlowState(u=band_limit(state.u, ev_cut), t=state.t,
-                         nu=state.nu, re=state.re)
+    ev_state = FlowState(
+        u=VectorField.spectral(grid, spec_band_limit(grid, uh, ev_cut)),
+        t=state.t, nu=state.nu, re=state.re)
 
     ws = Workspace(u_id)
     reports = [residual_tr2(u_id, ws), residual_tr3(u_id, workspace=ws)]
@@ -467,6 +476,13 @@ def cmd_verify(cfg: RunConfig, options: dict) -> int:
     snapshot = options.get("snapshot")
     if snapshot is not None:
         state = load_state(snapshot)
+        if cfg.nu is not None or cfg.re is not None:
+            given = cfg.nu if cfg.nu is not None else 1.0 / cfg.re
+            stored = state.effective_viscosity
+            if abs(given - stored) > 1e-12 * stored:
+                raise ValueError(
+                    f"viscosity {given!r} from --nu/--re disagrees with "
+                    f"{stored!r} stored in the snapshot {snapshot}")
     else:
         grid = Grid(cfg.n, cfg.box_length)
         nu, re = cfg.nu, cfg.re

@@ -149,7 +149,8 @@ def _p_beta_quadrature(r, t, beta):
 
 
 def gamma_pm(xi, x, t, sigma, sign: int = +1):
-    """Gaussian kernel of (1/(2 sigma^2)) Delta with unit drift sign*(1,1,1).
+    """Gaussian kernel of (1/(2 sigma^2)) Delta with unit drift sign*(1,1,1):
+    the exact constant-drift kernel that kernel_bounds_check sandwiches.
 
     Density over x (last axis holds the three components) of a point
     started at xi: center xi + sign*t*(1,1,1), per-axis variance
@@ -161,11 +162,9 @@ def gamma_pm(xi, x, t, sigma, sign: int = +1):
         raise ValueError(f"sigma must be positive, got {sigma}")
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    xi = np.asarray(xi, dtype=float)
-    x = np.asarray(x, dtype=float)
-    diff = sigma * (x - xi) - sign * sigma * t * np.ones(3)
-    q = np.sum(diff * diff, axis=-1)
-    return sigma ** 3 * (2.0 * np.pi * t) ** -1.5 * np.exp(-q / (2.0 * t))
+    return _constant_drift_kernel(np.asarray(xi, dtype=float),
+                                  np.asarray(x, dtype=float), t, sigma,
+                                  sign * np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +303,9 @@ class MonteCarloReport:
 DriftLike = Union[Callable[[np.ndarray], np.ndarray], np.ndarray, tuple, list]
 
 _EM_STEPS = 200
+# paths per batch; each batch draws from its own child of SeedSequence(seed),
+# so this size is part of what a seed fixes
+_BATCH_SIZE = 10_000
 
 
 def _euler_maruyama(fn, x: np.ndarray, delta: float, sigma: float,
@@ -344,8 +346,8 @@ def _cell_extrema(refined: np.ndarray, bins: int):
 def monte_carlo_kernel_check(sigma: float, delta: float,
                              drift_field: DriftLike,
                              samples: int = 100_000, seed: int = 0, *,
-                             xi=(0.0, 0.0, 0.0), bins: int = 8,
-                             batch_size: int = 10_000) -> MonteCarloReport:
+                             xi=(0.0, 0.0, 0.0),
+                             bins: int = 8) -> MonteCarloReport:
     """Sample the diffusion dX = phi(X) dt + sigma^{-1} dB started at xi
     and compare the empirical density of X_delta with the kernel
     envelopes.
@@ -356,7 +358,7 @@ def monte_carlo_kernel_check(sigma: float, delta: float,
     A drift given as a callable is integrated by Euler-Maruyama with step
     delta/200; the bound |phi_i| <= 1 is enforced on every evaluation.
     Its endpoint law is not known, even where its values look constant,
-    so it reports constant_drift false.  Each batch of batch_size paths
+    so it reports constant_drift false.  Each batch of _BATCH_SIZE paths
     draws from its own child of SeedSequence(seed), so a seed fixes the
     report.
 
@@ -391,11 +393,11 @@ def monte_carlo_kernel_check(sigma: float, delta: float,
 
     s = math.sqrt(delta) / sigma
     children = np.random.SeedSequence(seed).spawn(
-        (samples + batch_size - 1) // batch_size)
+        (samples + _BATCH_SIZE - 1) // _BATCH_SIZE)
     pts = np.empty((samples, 3))
     for k, child in enumerate(children):
         rng = np.random.default_rng(child)
-        x = pts[k * batch_size:(k + 1) * batch_size]
+        x = pts[k * _BATCH_SIZE:(k + 1) * _BATCH_SIZE]
         if fn is None:
             rng.standard_normal(out=x)
             x *= s

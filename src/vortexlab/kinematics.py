@@ -1,6 +1,7 @@
 """Velocity-gradient kinematics: A, S, omega, invariant traces, eigenvalues.
 
-Everything here is algebra on a single velocity snapshot.  Products are
+Everything here is algebra on a single velocity snapshot, and Workspace is
+the one place its derived fields are formed.  Products are
 formed pointwise in physical space; derivatives are spectral.  For the
 cubic traces to be alias-free the input should be band-limited to
 |k| < n/4, which the verification suites enforce.
@@ -21,8 +22,6 @@ from .spectral import (
     ScalarField,
     TensorField3,
     VectorField,
-    curl,
-    gradient_tensor,
     physical_gradient,
     physical_hessian,
     spec_curl,
@@ -40,9 +39,6 @@ __all__ = [
     "InvariantFields",
     "Workspace",
     "relative_divergence",
-    "velocity_gradient",
-    "vorticity",
-    "decompose",
     "invariants",
     "strain_eigenvalues",
     "variance_P",
@@ -106,36 +102,6 @@ def _lamb_vector(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     c[1] = u[2] * w[0] - u[0] * w[2]
     c[2] = u[0] * w[1] - u[1] * w[0]
     return c
-
-
-def velocity_gradient(u: VectorField) -> TensorField3:
-    """A with A[i, j] = du_i/dx_j; rejects non-solenoidal input."""
-    _require_solenoidal(u.grid, _spectral_data(u), "velocity field")
-    return gradient_tensor(u)
-
-
-def vorticity(u: VectorField) -> VectorField:
-    """curl u, with omega_1 = d2 u3 - d3 u2 fixing the sign convention."""
-    return curl(u)
-
-
-def decompose(A: TensorField3) -> tuple[TensorField3, VectorField]:
-    """Split A into strain S = (A + A^T)/2 and the vorticity vector.
-
-    The skew part is 0.5 * eps_kji omega_k, so A is recovered from the pair;
-    that reconstruction is asserted in the test suite rather than here.
-    """
-    a = A.data
-    s = 0.5 * (a + np.swapaxes(a, 0, 1))
-    w = np.stack([
-        a[2, 1] - a[1, 2],
-        a[0, 2] - a[2, 0],
-        a[1, 0] - a[0, 1],
-    ])
-    return (
-        TensorField3(A.grid, s, A.rep),
-        VectorField(A.grid, w, A.rep),
-    )
 
 
 class Workspace:

@@ -123,9 +123,6 @@ class FlowState:
     def grid(self) -> Grid:
         return self.u.grid
 
-    def velocity_physical(self) -> VectorField:
-        return self.u.to_physical()
-
     def mean_square_velocity(self) -> float:
         return spectral_mean_square(self.grid, self.u.data)
 
@@ -200,25 +197,22 @@ def pressure_from_velocity(u: VectorField,
     return ScalarField(ws.grid, ws.ph, "spectral")
 
 
-def _nonlinear(ws: Workspace, dealias: bool = True) -> np.ndarray:
-    """Projected (and masked) spectral u x omega of the workspace's velocity;
+def _nonlinear(ws: Workspace) -> np.ndarray:
+    """Projected and masked spectral u x omega of the workspace's velocity;
     the one form of the nonlinear term, shared by step and ns_rhs."""
-    ch = ws.lamb_h
-    if dealias:
-        ch = ch * ws.grid.dealias_mask
-    return spec_project(ws.grid, ch)
+    return spec_project(ws.grid, ws.lamb_h * ws.grid.dealias_mask)
 
 
 def _stage(grid: Grid, uh: np.ndarray) -> Workspace:
     return Workspace(VectorField(grid, uh, "spectral"))
 
 
-def ns_rhs(state: FlowState, dealias: bool = True,
+def ns_rhs(state: FlowState,
            workspace: Optional[Workspace] = None) -> VectorField:
     """du/dt = nu lap(u) - P[(u . grad) u], spectral and solenoidal;
     `workspace`, that of state.u, lends its samples of u and omega."""
     grid = state.grid
-    nl = _nonlinear(Workspace.of(state.u, workspace), dealias)
+    nl = _nonlinear(Workspace.of(state.u, workspace))
     rhs = nl - (state.effective_viscosity * grid.k2) * state.u.data
     return VectorField(grid, rhs, "spectral")
 

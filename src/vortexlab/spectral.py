@@ -8,8 +8,10 @@ integer multiples of 2*pi/L; differentiation multiplies by i*k with the
 Nyquist mode zeroed, and the two-thirds mask retains exactly the modes with
 |k_i| < (n/3)(2*pi/L) on every axis.
 
-All field values are immutable after construction and every operation is
-pure: it returns a new field and leaves its inputs untouched.
+The operators act on raw coefficient arrays, grid first, and return new
+arrays; the field wrappers only tag an immutable array with its grid and
+representation.  Derived fields of a velocity (A, S, omega, their
+gradients, p) are formed by kinematics.Workspace.
 """
 
 from __future__ import annotations
@@ -30,18 +32,6 @@ __all__ = [
     "TensorField3",
     "Field",
     "fft_workers",
-    "transform",
-    "derivative",
-    "gradient",
-    "divergence",
-    "curl",
-    "laplacian",
-    "gradient_tensor",
-    "hessian",
-    "solve_poisson",
-    "dealias",
-    "band_limit",
-    "volume_mean",
     "spectral_mean_square",
     "spectral_inner",
 ]
@@ -124,7 +114,6 @@ class Grid:
         unpaired mode do not inject spurious content.
     k2 : |k|^2 assembled from kd (so laplacian == div(grad) exactly).
     dealias_mask : bool, True on modes retained by the two-thirds rule.
-    nyquist_mask : bool, True where any axis sits at its Nyquist mode.
     parseval_weights : multiplicity of each stored half-complex mode.
     """
 
@@ -139,7 +128,6 @@ class Grid:
         "kd",
         "k2",
         "dealias_mask",
-        "nyquist_mask",
         "parseval_weights",
     )
 
@@ -179,11 +167,6 @@ class Grid:
         for m in self.modes:
             keep &= 3 * np.abs(m) < self.n
         self.dealias_mask = _frozen(keep)
-
-        nyq = np.zeros(self.spectral_shape, dtype=bool)
-        for m in self.modes:
-            nyq |= np.abs(m) == half
-        self.nyquist_mask = _frozen(nyq)
 
         w = np.full((1, 1, nz), 2.0)
         w[..., 0] = 1.0
@@ -279,15 +262,11 @@ def spec_curl(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def spec_laplacian(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    return coeffs * (-grid.k2)
-
-
-def spec_poisson(grid: Grid, rhs: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
+def spec_poisson(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     """Solve lap(f) = rhs for the zero-mean f; rejects rhs with nonzero mean."""
     scale = float(np.max(np.abs(rhs))) if rhs.size else 0.0
     mean_mag = float(np.abs(rhs[..., 0, 0, 0]).max())
-    if mean_mag > rel_tol * scale:
+    if mean_mag > 1e-12 * scale:
         raise ValueError(
             f"Poisson right-hand side must have zero mean; |mean| = {mean_mag:.3e} "
             f"vs scale {scale:.3e}"
@@ -308,10 +287,6 @@ def spec_project(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
         np.multiply(kd[a], ratio, out=out[a])
     np.subtract(coeffs, out, out=out)
     return out
-
-
-def spec_dealias(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    return coeffs * grid.dealias_mask
 
 
 def spec_band_limit(grid: Grid, coeffs: np.ndarray, max_mode: float) -> np.ndarray:
@@ -417,13 +392,6 @@ class _BaseField:
             return self
         return type(self)(self.grid, to_physical(self.grid, self.data), "physical")
 
-    @property
-    def values(self) -> np.ndarray:
-        return self.data
-
-    def _same(self, data: np.ndarray, rep: Rep) -> "_BaseField":
-        return type(self)(self.grid, data, rep)
-
 
 class ScalarField(_BaseField):
     _component_shape = ()
@@ -434,114 +402,11 @@ class VectorField(_BaseField):
 
     _component_shape = (3,)
 
-    def component(self, i: int) -> ScalarField:
-        return ScalarField(self.grid, self.data[i], self.rep)
-
-    def __getitem__(self, i: int) -> ScalarField:
-        return self.component(i)
-
 
 class TensorField3(_BaseField):
     """Rank-2 field with components T[i, j] over one shared grid."""
 
     _component_shape = (3, 3)
 
-    def component(self, i: int, j: int) -> ScalarField:
-        return ScalarField(self.grid, self.data[i, j], self.rep)
-
 
 Field = Union[ScalarField, VectorField, TensorField3]
-
-
-# ---------------------------------------------------------------------------
-# field-level operators; each returns a field in the representation of its
-# input (spectral math happens internally either way)
-
-def _spectral_op(field: Field, fn) -> np.ndarray:
-    coeffs = field.data if field.rep == "spectral" else to_spectral(field.grid, field.data)
-    return fn(field.grid, coeffs)
-
-
-def _wrap(field: Field, kind, coeffs: np.ndarray) -> Field:
-    if field.rep == "physical":
-        return kind(field.grid, to_physical(field.grid, coeffs), "physical")
-    return kind(field.grid, coeffs, "spectral")
-
-
-def transform(field: Field, to: Rep) -> Field:
-    if to == "physical":
-        return field.to_physical()
-    if to == "spectral":
-        return field.to_spectral()
-    raise ValueError(f"unknown representation {to!r}")
-
-
-def derivative(field: ScalarField, axis: int) -> ScalarField:
-    """Spectral d/dx_axis of a scalar field."""
-    if not isinstance(field, ScalarField):
-        raise TypeError("derivative expects a ScalarField")
-    return _wrap(field, ScalarField,
-                 _spectral_op(field, lambda g, c: spec_derivative(g, c, axis)))
-
-
-def gradient(field: ScalarField) -> VectorField:
-    if not isinstance(field, ScalarField):
-        raise TypeError("gradient expects a ScalarField")
-    return _wrap(field, VectorField, _spectral_op(field, spec_gradient))
-
-
-def divergence(field: VectorField) -> ScalarField:
-    if not isinstance(field, VectorField):
-        raise TypeError("divergence expects a VectorField")
-    return _wrap(field, ScalarField, _spectral_op(field, spec_divergence))
-
-
-def curl(field: VectorField) -> VectorField:
-    if not isinstance(field, VectorField):
-        raise TypeError("curl expects a VectorField")
-    return _wrap(field, VectorField, _spectral_op(field, spec_curl))
-
-
-def laplacian(field: Field) -> Field:
-    return _wrap(field, type(field), _spectral_op(field, spec_laplacian))
-
-
-def gradient_tensor(field: VectorField) -> TensorField3:
-    """A[i, j] = d u_i / d x_j."""
-    if not isinstance(field, VectorField):
-        raise TypeError("gradient_tensor expects a VectorField")
-
-    return _wrap(field, TensorField3, _spectral_op(field, spec_gradient))
-
-
-def hessian(field: ScalarField) -> TensorField3:
-    if not isinstance(field, ScalarField):
-        raise TypeError("hessian expects a ScalarField")
-
-    return _wrap(field, TensorField3, _spectral_op(
-        field, lambda g, c: spec_gradient(g, spec_gradient(g, c))))
-
-
-def solve_poisson(rhs: ScalarField) -> ScalarField:
-    """Zero-mean solution of lap(f) = rhs; rejects a nonzero-mean rhs."""
-    if not isinstance(rhs, ScalarField):
-        raise TypeError("solve_poisson expects a ScalarField")
-    return _wrap(rhs, ScalarField, _spectral_op(rhs, spec_poisson))
-
-
-def dealias(field: Field) -> Field:
-    return _wrap(field, type(field), _spectral_op(field, spec_dealias))
-
-
-def band_limit(field: Field, max_mode: float) -> Field:
-    return _wrap(field, type(field), _spectral_op(
-        field, lambda g, c: spec_band_limit(g, c, max_mode)))
-
-
-def volume_mean(field: ScalarField) -> float:
-    """Arithmetic mean over grid points; equals the k = 0 coefficient."""
-    if not isinstance(field, ScalarField):
-        raise TypeError("volume_mean expects a ScalarField")
-    if field.rep == "physical":
-        return float(field.data.mean())
-    return float(field.data[0, 0, 0].real)

@@ -74,6 +74,18 @@ class TestUsageErrors:
         assert code == 2
         assert "even" in stderr_payload(err)["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--run", "D", "--q-list", "4"],
+        ["kernel", "--re", "100", "--delta", "0.01", "--dt", "5",
+         "--t-end", "9", "--q-list", "3", "--ic", "abc"],
+        # not taken as an abbreviation of --nu
+        ["kernel", "--re", "100", "--delta", "0.01", "--n", "7"],
+    ])
+    def test_flag_the_subcommand_never_reads(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert stderr_payload(err)["error"] == "usage"
+
 
 class TestConfigFile:
     def test_parsing(self, tmp_path):
@@ -351,6 +363,24 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--snapshot", str(snap))
         assert code == 2
         assert "solenoidal" in stderr_payload(err)["message"]
+
+    def test_snapshot_viscosity_must_match(self, capsys, tmp_path):
+        grid = vx.Grid(16)
+        u = vx.VectorField.spectral(
+            grid, np.zeros((3,) + grid.spectral_shape, complex))
+        snap = tmp_path / "zero.vxl"
+        save_state(snap, vx.FlowState(u, nu=0.01))
+        for flags in (["--nu", "0.05"], ["--re", "50"]):
+            code, out, err = run_cli(capsys, "verify", "--snapshot",
+                                     str(snap), *flags)
+            assert code == 2 and out == ""
+            payload = stderr_payload(err)
+            assert payload["error"] == "config"
+            assert "viscosity" in payload["message"]
+        for flags in (["--nu", "0.01"], ["--re", "100"]):
+            code, _, _ = run_cli(capsys, "verify", "--snapshot", str(snap),
+                                 *flags)
+            assert code == 0
 
     def test_missing_snapshot_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "verify", "--snapshot",

@@ -231,8 +231,8 @@ class TestLqInequality:
     def test_q2_terms_against_direct_formulas(self, tg16):
         rep = vx.lq_inequality_check(tg16, 2.0)
         inv = vx.invariants(tg16.u)
-        w = vx.vorticity(tg16.u).to_physical().data
-        wdot = vx.vorticity(vx.ns_rhs(tg16)).to_physical().data
+        w = vx.Workspace(tg16.u).w
+        wdot = vx.Workspace(vx.ns_rhs(tg16)).w
         d_want = 2.0 * float(np.einsum("i...,i...->...", w, wdot).mean())
         s_want = 2.0 * float(inv.omega_S_omega.data.mean())
         assert rep.derivative == pytest.approx(d_want, rel=1e-12)

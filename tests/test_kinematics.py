@@ -23,24 +23,24 @@ def abc_velocity(grid32):
 
 class TestVelocityGradient:
     def test_matches_symbolic_on_taylor_green(self, tg_velocity):
-        A = vx.velocity_gradient(tg_velocity).to_physical()
+        a = vx.Workspace(tg_velocity).a
         sym = oc.grad_matrix(oc.taylor_green_exprs())
         for i in range(3):
             for j in range(3):
                 want = oc.eval_on_grid(sym[i, j], 32)
-                assert np.abs(A.data[i, j] - want).max() < 1e-12
+                assert np.abs(a[i, j] - want).max() < 1e-12
 
     def test_trace_vanishes(self, band8_field):
-        A = vx.velocity_gradient(band8_field).to_physical()
-        trace = np.einsum("ii...->...", A.data)
-        assert np.abs(trace).max() < 1e-10 * np.abs(A.data).max()
+        a = vx.Workspace(band8_field).a
+        trace = np.einsum("ii...->...", a)
+        assert np.abs(trace).max() < 1e-10 * np.abs(a).max()
 
     def test_rejects_divergent_input(self, grid32):
         x, _, _ = grid32.coordinates()
         bad = np.zeros((3,) + grid32.shape)
         bad[0] = np.broadcast_to(np.sin(x), grid32.shape)
         with pytest.raises(ValueError, match="div"):
-            vx.velocity_gradient(vx.VectorField.physical(grid32, bad))
+            vx.invariants(vx.VectorField.physical(grid32, bad))
 
     def test_relative_divergence_zero_field(self, grid32):
         zero = vx.VectorField.physical(grid32, np.zeros((3,) + grid32.shape))
@@ -49,44 +49,53 @@ class TestVelocityGradient:
 
 class TestVorticity:
     def test_taylor_green_closed_form(self, grid32, tg_velocity):
-        w = vx.vorticity(tg_velocity).to_physical()
+        w = vx.Workspace(tg_velocity).w
         x, y, z = grid32.coordinates()
         want = np.stack([
             np.broadcast_to(-np.cos(x) * np.sin(y) * np.sin(z), grid32.shape),
             np.broadcast_to(-np.sin(x) * np.cos(y) * np.sin(z), grid32.shape),
             np.broadcast_to(2 * np.sin(x) * np.sin(y) * np.cos(z), grid32.shape),
         ])
-        assert np.abs(w.data - want).max() < 1e-12
+        assert np.abs(w - want).max() < 1e-12
 
     def test_abc_is_beltrami(self, abc_velocity):
         # curl u = u for the unit ABC flow
-        w = vx.vorticity(abc_velocity).to_physical()
-        assert np.abs(w.data - abc_velocity.to_physical().data).max() < 1e-12
+        ws = vx.Workspace(abc_velocity)
+        assert np.abs(ws.w - ws.up).max() < 1e-12
 
     def test_divergence_free(self, band8_field):
-        w = vx.vorticity(band8_field)
+        w = vx.VectorField.spectral(band8_field.grid,
+                                    vx.Workspace(band8_field).wh)
         assert relative_divergence(w) < 1e-12
 
 
+def _skew_from_vorticity(w):
+    """0.5 eps_kji omega_k: the skew part of A that omega stands for."""
+    eps = np.zeros((3, 3, 3))
+    eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
+    eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
+    return 0.5 * np.einsum("kji,k...->ij...", eps, w)
+
+
 class TestDecompose:
+    """A splits into S (symmetric part) and omega (the skew part)."""
+
     def test_reconstruction(self, band8_field):
-        A = vx.velocity_gradient(band8_field).to_physical()
-        S, w = vx.decompose(A)
+        ws = vx.Workspace(band8_field)
+        a = ws.a
         # skew part Omega_ij = (A - A^T)/2 = 0.5 eps_kji omega_k
-        omega = w.data
-        skew = 0.5 * (A.data - np.swapaxes(A.data, 0, 1))
-        eps = np.zeros((3, 3, 3))
-        eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
-        eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
-        rebuilt = 0.5 * np.einsum("kji,k...->ij...", eps, omega)
-        assert np.abs(skew - rebuilt).max() < 1e-12
-        assert np.abs(S.data - np.swapaxes(S.data, 0, 1)).max() == 0.0
+        skew = 0.5 * (a - np.swapaxes(a, 0, 1))
+        assert np.abs(skew - _skew_from_vorticity(ws.w)).max() < 1e-12
+        assert np.abs(ws.s - np.swapaxes(ws.s, 0, 1)).max() == 0.0
+        assert np.abs(ws.s + skew - a).max() < 1e-12
 
     def test_vorticity_agrees_with_curl(self, band8_field):
-        A = vx.velocity_gradient(band8_field).to_physical()
-        _, w = vx.decompose(A)
-        direct = vx.vorticity(band8_field).to_physical()
-        assert np.abs(w.data - direct.data).max() < 1e-11
+        # omega read off the skew part of A against omega = curl u
+        ws = vx.Workspace(band8_field)
+        a = ws.a
+        from_a = np.stack([a[2, 1] - a[1, 2], a[0, 2] - a[2, 0],
+                           a[1, 0] - a[0, 1]])
+        assert np.abs(from_a - ws.w).max() < 1e-11
 
 
 class TestWorkspace:
@@ -136,10 +145,13 @@ class TestInvariants:
         assert np.abs(inv.trS3.data).max() > 0.05
 
 
+def _strain(u):
+    return vx.TensorField3.physical(u.grid, vx.Workspace(u).s)
+
+
 @pytest.fixture(scope="module")
 def eigs_and_strain(band8_field):
-    A = vx.velocity_gradient(band8_field).to_physical()
-    S, _ = vx.decompose(A)
+    S = _strain(band8_field)
     return vx.strain_eigenvalues(S), S
 
 
@@ -210,8 +222,7 @@ class TestStrainEigenvalues:
 
 class TestVarianceAndHelicity:
     def test_variance_relation(self, band8_field):
-        A = vx.velocity_gradient(band8_field).to_physical()
-        S, _ = vx.decompose(A)
+        S = _strain(band8_field)
         eigs = vx.strain_eigenvalues(S)
         p, var = vx.variance_P(eigs)
         # under a+b+c = 0 the spread P equals trS2 and 3 var
@@ -221,8 +232,7 @@ class TestVarianceAndHelicity:
 
     def test_invariants_variance_matches(self, band8_field):
         inv = vx.invariants(band8_field)
-        S, _ = vx.decompose(vx.velocity_gradient(band8_field).to_physical())
-        p, _ = vx.variance_P(vx.strain_eigenvalues(S))
+        p, _ = vx.variance_P(vx.strain_eigenvalues(_strain(band8_field)))
         assert np.abs(p.data - inv.trS2.data).max() \
             < 1e-8 * np.abs(inv.trS2.data).max()
 
